@@ -67,7 +67,8 @@ func Known(name string) bool {
 // observation spec changes the result payload, so it is part of the
 // scenario's canonical identity and content hash.
 type Spec struct {
-	// Observables names the series to record; see the observable constants.
+	// Observables names the series to record; see the observable constants
+	// and Names. Engines record the subset they can produce.
 	Observables []string `json:"observables"`
 	// Every is the sampling cadence: record steps t with t % Every == 0
 	// (t = 0 is always recorded). Zero selects 1, every step.

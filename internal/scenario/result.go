@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
@@ -103,4 +104,27 @@ func Assemble(canonical Spec, hash string, reps []Rep) (*Result, error) {
 	}
 	res.Phases = prof.MergeBreakdowns(breakdowns...)
 	return res, nil
+}
+
+// WriteSeriesNDJSON streams the result's aggregated series as
+// newline-delimited JSON, one object per (observable, step) sample. This
+// is the canonical series wire encoding: `mobisim -series-out -` and the
+// mobiserved GET /v1/results/{hash}/series endpoint emit exactly these
+// bytes for the same scenario.
+func (r *Result) WriteSeriesNDJSON(w io.Writer) error {
+	return obs.WriteNDJSON(w, r.Series)
+}
+
+// WriteSeriesCSV renders the aggregated series as a rectangular CSV table
+// — one row per (observable, step) sample — the form `mobisim -series-out
+// file.csv` exports.
+func (r *Result) WriteSeriesCSV(w io.Writer) error {
+	return obs.Table(r.Series).WriteCSV(w)
+}
+
+// WriteSeriesTableJSON renders the aggregated series as the tabular JSON
+// object ({columns, rows}, cells as rendered strings) the CSV form mirrors
+// — the `mobisim -series-out file.json` export.
+func (r *Result) WriteSeriesTableJSON(w io.Writer) error {
+	return obs.Table(r.Series).WriteJSON(w)
 }

@@ -1,11 +1,13 @@
 // Package scenario makes "one simulation" a declarative, named value. A
-// Spec picks an engine (broadcast, gossip, frog, coverage, predator), the
-// arena and population, the dissemination parameters and the requested
-// metrics; it encodes to JSON, validates, and canonicalises to a
+// Spec picks an engine (broadcast, gossip, frog, coverage, predator,
+// meeting), the arena and population, the dissemination parameters and the
+// requested metrics; it encodes to JSON, validates, and canonicalises to a
 // content-addressed hash usable as a cache key. Behind the Spec, every
 // engine is driven through the single Runner interface, so the CLI, the
 // examples, the public API and the simulation service (internal/simserve)
-// all share one dispatch path instead of bespoke per-engine wiring.
+// all share one dispatch path instead of bespoke per-engine wiring. The
+// root package's Scenario, ScenarioRep and ScenarioResult are aliases of
+// Spec, Rep and Result.
 package scenario
 
 import (
@@ -66,7 +68,9 @@ type Spec struct {
 	// canonicalisation and hashing: two specs differing only in label are
 	// the same simulation.
 	Label string `json:"label,omitempty"`
-	// Engine selects the dissemination process; see the Engine constants.
+	// Engine selects the dissemination process: "broadcast", "gossip",
+	// "frog", "coverage", "predator" or "meeting" (see the Engine
+	// constants and Engines).
 	Engine string `json:"engine"`
 	// Nodes is the number of grid nodes n, rounded up to the next perfect
 	// square exactly as mobilenet.New does.
@@ -75,7 +79,8 @@ type Spec struct {
 	Agents int `json:"agents"`
 	// Radius is the transmission/capture radius in Manhattan distance.
 	Radius int `json:"radius"`
-	// Seed drives all randomness. Replicate rep runs under RepSeed(Seed, rep).
+	// Seed drives all randomness. Replicate rep runs under RepSeed(Seed, rep)
+	// (replicate 0 runs under Seed itself).
 	Seed uint64 `json:"seed"`
 	// Source is the initially informed/active agent for broadcast and frog;
 	// SourceRandom picks uniformly. Other engines ignore it.
@@ -105,7 +110,8 @@ type Spec struct {
 	// dropped entirely. Unlike Parallelism, the observe block IS part of
 	// the content hash: observable names and cadence change the result
 	// payload (the recorded series), so two specs differing in observe
-	// are different simulations (DESIGN.md §10).
+	// are different simulations (DESIGN.md §10). The recorded subset is
+	// aggregated across replicates into Result.Series.
 	Observe *obs.Spec `json:"observe,omitempty"`
 	// Parallelism sets the component labeller's worker count for engines
 	// that rebuild visibility components each step (broadcast, gossip,
@@ -122,7 +128,8 @@ type Spec struct {
 	// each replicate's Rep carries a phases breakdown (move, index, label,
 	// spread, observe) and the Result aggregates them. Like Parallelism it
 	// is an execution-only knob — simulation outcomes are identical either
-	// way and the measured timings are non-deterministic — so
+	// way, profiling adds only a few clock reads per step, and the measured
+	// timings are non-deterministic — so
 	// canonicalisation zeroes it and it never splits the content hash. The
 	// simulation service strips the per-rep breakdowns before assembly
 	// (feeding them to telemetry and traces instead), keeping cached

@@ -301,7 +301,7 @@ func (nw *Network) Broadcast() (BroadcastResult, error) {
 		CoverageSteps: r.CoverageSteps,
 	}
 	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
+		res.Series = rec.Series()
 	}
 	return res, nil
 }
@@ -340,7 +340,7 @@ func (nw *Network) gossip(rumors int) (GossipResult, error) {
 	}
 	res := GossipResult{Steps: r.Steps, Completed: r.Completed}
 	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
+		res.Series = rec.Series()
 	}
 	return res, nil
 }
@@ -365,7 +365,7 @@ func (nw *Network) FrogBroadcast() (BroadcastResult, error) {
 	}
 	res := BroadcastResult{Steps: r.Steps, Completed: r.Completed, Source: src, CoverageSteps: -1}
 	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
+		res.Series = rec.Series()
 	}
 	return res, nil
 }
@@ -400,7 +400,7 @@ func (nw *Network) CoverTime() (CoverResult, error) {
 	}
 	res := CoverResult{Steps: r.Steps, Completed: r.Completed, Covered: r.Covered}
 	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
+		res.Series = rec.Series()
 	}
 	return res, nil
 }
@@ -438,7 +438,7 @@ func (nw *Network) Extinction(preys int) (ExtinctionResult, error) {
 	}
 	res := ExtinctionResult{Steps: r.Steps, Completed: r.Completed, Survivors: r.Survivors}
 	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
+		res.Series = rec.Series()
 	}
 	return res, nil
 }

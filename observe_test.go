@@ -98,7 +98,7 @@ func TestScenarioObserveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	internal, err := json.Marshal(sc.spec())
+	internal, err := json.Marshal(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunScenarioSeriesAndNDJSON(t *testing.T) {
 	if err := res.WriteSeriesNDJSON(&pub); err != nil {
 		t.Fatal(err)
 	}
-	internal, err := scenario.Run(sc.spec())
+	internal, err := scenario.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,224 +13,38 @@ import (
 // spec drives RunScenario here, cmd/mobisim, and the mobiserved HTTP
 // service, and canonicalises to a content hash usable as a cache key.
 // Zero-valued optional fields select engine defaults; the minimal useful
-// spec is just Engine, Nodes and Agents.
-type Scenario struct {
-	// Label is an optional human-readable name, ignored by hashing.
-	Label string `json:"label,omitempty"`
-	// Engine is one of "broadcast", "gossip", "frog", "coverage",
-	// "predator" (see ScenarioEngines).
-	Engine string `json:"engine"`
-	// Nodes is the grid size n, rounded up to the next perfect square.
-	Nodes int `json:"nodes"`
-	// Agents is the population size k.
-	Agents int `json:"agents"`
-	// Radius is the transmission (or capture) radius in Manhattan distance.
-	Radius int `json:"radius"`
-	// Seed drives all randomness; replicate r runs under a seed derived
-	// from it by position (replicate 0 runs under Seed itself).
-	Seed uint64 `json:"seed"`
-	// Source is the initially informed/active agent for broadcast and
-	// frog; RandomSource picks uniformly.
-	Source int `json:"source,omitempty"`
-	// MaxSteps caps the run; 0 selects the engine's theory-derived default.
-	MaxSteps int `json:"max_steps,omitempty"`
-	// Reps is the replicate count; 0 selects 1.
-	Reps int `json:"reps,omitempty"`
-	// Preys is the prey count for the predator engine; 0 selects Agents.
-	Preys int `json:"preys,omitempty"`
-	// Rumors is the distinct-rumor count for gossip; 0 selects the
-	// classical all-to-all.
-	Rumors int `json:"rumors,omitempty"`
-	// Mobility is a ParseMobility spec string; empty selects the lazy walk.
-	Mobility string `json:"mobility,omitempty"`
-	// Metrics requests extra measurements: "curve" (per-step progress) and
-	// "coverage" (broadcast coverage time T_C).
-	Metrics []string `json:"metrics,omitempty"`
-	// Observe requests per-step time-series observables (see Observation).
-	// The engine's supported subset is recorded per replicate and
-	// aggregated across replicates into ScenarioResult.Series. Unlike
-	// Parallelism, the observe block IS part of the content hash: the
-	// recorded series change the result payload.
-	Observe *Observation `json:"observe,omitempty"`
-	// Parallelism sets the component labeller's worker count for engines
-	// that rebuild visibility components each step (broadcast, gossip,
-	// frog): 0 selects the automatic policy, 1 forces sequential. Like
-	// Label it never affects results or the content hash; it only governs
-	// how a library or CLI run executes. The mobiserved service ignores
-	// it: its worker pool already fans replicates across every core, so
-	// each replicate labels sequentially there.
-	Parallelism int `json:"parallelism,omitempty"`
-	// Profile enables per-replicate step-phase profiling: every replicate
-	// reports a wall-clock breakdown over the fixed phase vocabulary
-	// (move, index, label, spread, observe) in ScenarioRep.Phases, and the
-	// result aggregates them in ScenarioResult.Phases. Like Parallelism it
-	// is execution-only: outcomes are identical either way, profiling adds
-	// only a few clock reads per step, and the flag never affects the
-	// content hash.
-	Profile bool `json:"profile,omitempty"`
-}
-
-// spec converts the public Scenario to the internal spec, field for field.
-func (s Scenario) spec() scenario.Spec {
-	sp := scenario.Spec{
-		Label:       s.Label,
-		Engine:      s.Engine,
-		Nodes:       s.Nodes,
-		Agents:      s.Agents,
-		Radius:      s.Radius,
-		Seed:        s.Seed,
-		Source:      s.Source,
-		MaxSteps:    s.MaxSteps,
-		Reps:        s.Reps,
-		Preys:       s.Preys,
-		Rumors:      s.Rumors,
-		Mobility:    s.Mobility,
-		Metrics:     s.Metrics,
-		Parallelism: s.Parallelism,
-		Profile:     s.Profile,
-	}
-	if s.Observe != nil {
-		sp.Observe = s.Observe.spec()
-	}
-	return sp
-}
-
-func fromSpec(sp scenario.Spec) Scenario {
-	return Scenario{
-		Label:       sp.Label,
-		Engine:      sp.Engine,
-		Nodes:       sp.Nodes,
-		Agents:      sp.Agents,
-		Radius:      sp.Radius,
-		Seed:        sp.Seed,
-		Source:      sp.Source,
-		MaxSteps:    sp.MaxSteps,
-		Reps:        sp.Reps,
-		Preys:       sp.Preys,
-		Rumors:      sp.Rumors,
-		Mobility:    sp.Mobility,
-		Metrics:     sp.Metrics,
-		Observe:     fromObsSpec(sp.Observe),
-		Parallelism: sp.Parallelism,
-		Profile:     sp.Profile,
-	}
-}
-
-// ParseScenario decodes a Scenario from JSON, rejecting unknown fields.
-func ParseScenario(data []byte) (Scenario, error) {
-	sp, err := scenario.Parse(data)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return fromSpec(sp), nil
-}
-
-// ScenarioEngines returns the available engine names, sorted.
-func ScenarioEngines() []string { return scenario.Engines() }
-
-// Validate checks the scenario without running it.
-func (s Scenario) Validate() error { return s.spec().Validate() }
-
-// Canonical returns the scenario's canonical form: defaults resolved,
-// engine-irrelevant fields zeroed, metrics normalised. Two scenarios that
-// describe the same simulation canonicalise identically.
-func (s Scenario) Canonical() (Scenario, error) {
-	c, err := s.spec().Canonical()
-	if err != nil {
-		return Scenario{}, err
-	}
-	return fromSpec(c), nil
-}
-
-// Hash returns the scenario's canonical content hash — the key mobiserved
-// caches results under. Equal hashes mean equal simulations.
-func (s Scenario) Hash() (string, error) { return s.spec().Hash() }
+// spec is just Engine, Nodes and Agents. Its methods (Validate, Canonical,
+// Hash, HasMetric) and field docs live on the aliased internal type.
+type Scenario = scenario.Spec
 
 // ScenarioRep is the outcome of one scenario replicate. Fields an engine
 // does not produce hold their zero value (CoverageSteps is -1 when not
 // measured).
-type ScenarioRep struct {
-	// Seed is the seed this replicate ran under.
-	Seed uint64 `json:"seed"`
-	// Steps is the engine's primary time measurement (T_B, T_G, the frog
-	// broadcast time, the cover time or the extinction time).
-	Steps int `json:"steps"`
-	// Completed is false when the step cap ended the run first.
-	Completed bool `json:"completed"`
-	// Source is the realised source agent (broadcast, frog).
-	Source int `json:"source"`
-	// CoverageSteps is T_C under the "coverage" metric, else -1.
-	CoverageSteps int `json:"coverage_steps"`
-	// Covered is the covered-node count (coverage engine).
-	Covered int `json:"covered"`
-	// Survivors is the surviving-prey count (predator engine).
-	Survivors int `json:"survivors"`
-	// Curve is the per-step progress curve under the "curve" metric.
-	Curve []int `json:"curve,omitempty"`
-	// Series holds this replicate's observed time series under the
-	// scenario's observe block; nil when nothing was observed.
-	Series *RepSeries `json:"series,omitempty"`
-	// Phases is this replicate's step-phase wall-clock breakdown under
-	// Scenario.Profile; nil when profiling was off.
-	Phases *PhaseBreakdown `json:"phases,omitempty"`
-}
+type ScenarioRep = scenario.Rep
+
+// ScenarioResult is the uniform outcome of a scenario run: every replicate
+// in replicate order plus summary statistics. It is a deterministic
+// function of the canonical scenario. WriteSeriesNDJSON, WriteSeriesCSV and
+// WriteSeriesTableJSON render its aggregated series.
+type ScenarioResult = scenario.Result
 
 // PhaseBreakdown reports where a run's step time went, split over the fixed
 // phase vocabulary: "move" (motion stepping), "index" (spatial-index
 // build), "label" (connectivity resolution), "spread" (information
-// propagation) and "observe" (measurement). Only phases with nonzero time
-// appear; timings are wall-clock measurements of the executing machine, not
-// simulation outcomes.
-type PhaseBreakdown struct {
-	// Steps is the number of profiled steps the breakdown covers.
-	Steps int `json:"steps"`
-	// Seconds maps phase name to accumulated wall-clock seconds.
-	Seconds map[string]float64 `json:"seconds"`
-	// Fractions maps phase name to its share of the profiled total.
-	Fractions map[string]float64 `json:"fractions,omitempty"`
-}
+// propagation) and "observe" (measurement). Timings are wall-clock
+// measurements of the executing machine, not simulation outcomes.
+type PhaseBreakdown = prof.Breakdown
 
-// fromBreakdown converts the internal breakdown to its public mirror.
-func fromBreakdown(b *prof.Breakdown) *PhaseBreakdown {
-	if b == nil {
-		return nil
-	}
-	return &PhaseBreakdown{Steps: b.Steps, Seconds: b.Seconds, Fractions: b.Fractions}
-}
+// ParseScenario decodes a Scenario from JSON, rejecting unknown fields.
+func ParseScenario(data []byte) (Scenario, error) { return scenario.Parse(data) }
 
-// ScenarioResult is the uniform outcome of a scenario run: every replicate
-// in replicate order plus summary statistics. It is a deterministic
-// function of the canonical scenario.
-type ScenarioResult struct {
-	// Engine is the canonical engine name.
-	Engine string `json:"engine"`
-	// Hash is the canonical content hash of the scenario.
-	Hash string `json:"hash"`
-	// Reps holds the replicate outcomes in replicate order.
-	Reps []ScenarioRep `json:"reps"`
-	// MeanSteps is the mean of Steps over all replicates.
-	MeanSteps float64 `json:"mean_steps"`
-	// AllCompleted reports whether every replicate finished under the cap.
-	AllCompleted bool `json:"all_completed"`
-	// Series aggregates the replicates' observed time series per
-	// observable; nil when the scenario observed nothing. Render with
-	// WriteSeriesNDJSON for the canonical wire form.
-	Series []Series `json:"series,omitempty"`
-	// Phases merges the replicates' step-phase breakdowns under
-	// Scenario.Profile; nil when profiling was off.
-	Phases *PhaseBreakdown `json:"phases,omitempty"`
-}
+// ScenarioEngines returns the available engine names, sorted.
+func ScenarioEngines() []string { return scenario.Engines() }
 
 // RunScenario validates, canonicalises and executes a scenario through the
 // shared engine dispatch — the same path cmd/mobisim and the mobiserved
 // service use, so a library run reproduces a service run bit for bit.
-func RunScenario(s Scenario) (*ScenarioResult, error) {
-	res, err := scenario.Run(s.spec())
-	if err != nil {
-		return nil, err
-	}
-	return fromScenarioResult(res), nil
-}
+func RunScenario(s Scenario) (*ScenarioResult, error) { return scenario.Run(s) }
 
 // ExecTrace is the execution trace of a scenario run: one span per
 // replicate (annotated with its step-phase breakdown when the scenario
@@ -250,9 +64,9 @@ func (t *ExecTrace) WriteChromeTrace(w io.Writer) error { return t.tr.WriteChrom
 // s.Profile is set. The result is identical to an untraced run.
 func RunScenarioTraced(s Scenario) (*ScenarioResult, *ExecTrace, error) {
 	tr := prof.NewTrace()
-	res, err := scenario.RunWithTrace(s.spec(), tr)
+	res, err := scenario.RunWithTrace(s, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	return fromScenarioResult(res), &ExecTrace{tr: tr}, nil
+	return res, &ExecTrace{tr: tr}, nil
 }

@@ -1,28 +1,6 @@
 package mobilenet
 
-import (
-	"mobilenet/internal/scenario"
-	"mobilenet/internal/sweep"
-)
-
-// SweepAxis varies one scenario field across a sweep. Exactly one of
-// Values or the From/To/Step range must be given; see SweepFields for the
-// sweepable field names.
-type SweepAxis struct {
-	// Field is the canonical JSON name of the scenario field to vary:
-	// "engine", "mobility" (string-valued), or "nodes", "agents",
-	// "radius", "seed", "source", "max_steps", "reps", "preys", "rumors"
-	// (integer-valued).
-	Field string `json:"field"`
-	// Values lists the axis values explicitly: integers for numeric
-	// fields, strings for enum fields.
-	Values []any `json:"values,omitempty"`
-	// From, To, Step describe an inclusive integer range as an
-	// alternative to Values (numeric fields only; Step must be positive).
-	From *int64 `json:"from,omitempty"`
-	To   *int64 `json:"to,omitempty"`
-	Step *int64 `json:"step,omitempty"`
-}
+import "mobilenet/internal/sweep"
 
 // Sweep declares a parameter sweep: a base scenario plus the axes that
 // vary it, expanded cartesian (default) or zipped ("zip"). Like
@@ -30,131 +8,35 @@ type SweepAxis struct {
 // RunSweep, `mobisim -sweep`, and the mobiserved POST /v1/sweeps
 // endpoint — and the expanded point set canonicalises to an
 // order-independent content hash (Sweep.Hash).
-type Sweep struct {
-	// Label is an optional human-readable name, ignored by hashing.
-	Label string `json:"label,omitempty"`
-	// Base is the scenario every point starts from. It is validated only
-	// as part of the expanded points, so fields an axis always overrides
-	// may be left zero.
-	Base Scenario `json:"base"`
-	// Axes lists the varied fields; at least one is required.
-	Axes []SweepAxis `json:"axes"`
-	// Mode selects how the axes combine: "cartesian" (default) or "zip".
-	Mode string `json:"mode,omitempty"`
-	// Fit optionally names a numeric axis to fit a log-log power law of
-	// per-point median steps against — the scaling-law check the paper's
-	// Θ̃ statements call for.
-	Fit string `json:"fit,omitempty"`
-}
+type Sweep = sweep.Spec
 
-// spec converts the public Sweep to the internal spec, field for field.
-func (s Sweep) spec() sweep.Spec {
-	axes := make([]sweep.Axis, len(s.Axes))
-	for i, a := range s.Axes {
-		axes[i] = sweep.Axis{Field: a.Field, Values: a.Values, From: a.From, To: a.To, Step: a.Step}
-	}
-	return sweep.Spec{Label: s.Label, Base: s.Base.spec(), Axes: axes, Mode: s.Mode, Fit: s.Fit}
-}
-
-func fromSweepSpec(sp sweep.Spec) Sweep {
-	axes := make([]SweepAxis, len(sp.Axes))
-	for i, a := range sp.Axes {
-		axes[i] = SweepAxis{Field: a.Field, Values: a.Values, From: a.From, To: a.To, Step: a.Step}
-	}
-	return Sweep{Label: sp.Label, Base: fromSpec(sp.Base), Axes: axes, Mode: sp.Mode, Fit: sp.Fit}
-}
-
-// ParseSweep decodes a Sweep from JSON, rejecting unknown fields.
-func ParseSweep(data []byte) (Sweep, error) {
-	sp, err := sweep.Parse(data)
-	if err != nil {
-		return Sweep{}, err
-	}
-	return fromSweepSpec(sp), nil
-}
-
-// SweepFields returns the sweepable scenario field names, sorted.
-func SweepFields() []string { return sweep.Fields() }
-
-// Validate checks the sweep's structure (axes, modes, value types, point
-// count) without running it.
-func (s Sweep) Validate() error { return s.spec().Validate() }
-
-// Hash expands the sweep and returns its content hash: the SHA-256 over
-// the sorted set of point content hashes, so the same grid of
-// simulations declared with axes in a different order hashes identically.
-func (s Sweep) Hash() (string, error) { return s.spec().Hash() }
+// SweepAxis varies one scenario field across a sweep. Exactly one of
+// Values or the From/To/Step range must be given; see SweepFields for the
+// sweepable field names.
+type SweepAxis = sweep.Axis
 
 // SweepAggregate summarises the Steps measurement across one sweep
 // point's replicates.
-type SweepAggregate struct {
-	// Reps is the replicate count.
-	Reps int `json:"reps"`
-	// Mean and StdDev are the sample mean and standard deviation.
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stddev"`
-	// Median is the sample median (the statistic scaling-law fits use).
-	Median float64 `json:"median"`
-	// CILow and CIHigh bound the Student-t 95% confidence interval of the
-	// mean.
-	CILow  float64 `json:"ci95_low"`
-	CIHigh float64 `json:"ci95_high"`
-	// Min and Max are the sample extremes.
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
-}
+type SweepAggregate = sweep.Aggregate
 
 // SweepFit is the optional log-log power-law fit of per-point median
 // steps against the numeric axis named by Sweep.Fit.
-type SweepFit struct {
-	// Axis is the fitted axis field.
-	Axis string `json:"axis"`
-	// Alpha is the exponent (the log-log slope) and C the multiplicative
-	// constant of median ≈ C * axis^Alpha.
-	Alpha float64 `json:"alpha"`
-	C     float64 `json:"c"`
-	// AlphaErr is the standard error of the slope, R2 the coefficient of
-	// determination in log space, N the number of fitted points.
-	AlphaErr float64 `json:"alpha_err"`
-	R2       float64 `json:"r2"`
-	N        int     `json:"n"`
-}
+type SweepFit = sweep.Fit
 
-// SweepPoint is one expanded, executed sweep coordinate.
-type SweepPoint struct {
-	// Index is the point's position in expansion order.
-	Index int `json:"index"`
-	// Values holds the axis values in axis order.
-	Values []any `json:"values"`
-	// Scenario is the point's canonical scenario.
-	Scenario Scenario `json:"spec"`
-	// Hash is the point's scenario content hash (the result-cache key).
-	Hash string `json:"hash"`
-	// Steps summarises the Steps measurement across replicates.
-	Steps SweepAggregate `json:"steps"`
-	// AllCompleted reports whether every replicate finished under the cap.
-	AllCompleted bool `json:"all_completed"`
-	// Result is the point's full scenario result — byte-identical, once
-	// encoded, to a RunScenario call or a mobiserved payload for the
-	// same point.
-	Result *ScenarioResult `json:"result"`
-}
+// SweepPoint is one expanded, executed sweep coordinate; its canonical
+// scenario is the Spec field.
+type SweepPoint = sweep.PointResult
 
 // SweepResult is the outcome of a sweep: every point in expansion order
 // plus the sweep-level aggregates. Its JSON encoding matches the
 // mobiserved sweep result payload field for field.
-type SweepResult struct {
-	// Label echoes the sweep's label.
-	Label string `json:"label,omitempty"`
-	// Hash is the sweep content hash.
-	Hash string `json:"hash"`
-	// AxisFields names the axis columns, in axis order.
-	AxisFields []string `json:"axis_fields"`
-	// Points holds the per-point results in expansion order.
-	Points []SweepPoint `json:"points"`
-	// Fit is the optional scaling-law fit; nil unless the sweep asked.
-	Fit *SweepFit `json:"fit,omitempty"`
-}
+type SweepResult = sweep.Result
+
+// ParseSweep decodes a Sweep from JSON, rejecting unknown fields.
+func ParseSweep(data []byte) (Sweep, error) { return sweep.Parse(data) }
+
+// SweepFields returns the sweepable scenario field names, sorted.
+func SweepFields() []string { return sweep.Fields() }
 
 // RunSweep validates, expands and executes a sweep through the shared
 // engine dispatch: every distinct point runs once on a bounded worker
@@ -163,66 +45,4 @@ type SweepResult struct {
 // dispatch and surfaces the lowest-indexed point's error, and per-point
 // replicate statistics are aggregated. The same sweep submitted to a
 // mobiserved instance produces byte-identical per-point results.
-func RunSweep(s Sweep) (*SweepResult, error) {
-	res, err := sweep.Run(s.spec(), sweep.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return fromSweepResult(res), nil
-}
-
-func fromSweepResult(res *sweep.Result) *SweepResult {
-	out := &SweepResult{
-		Label:      res.Label,
-		Hash:       res.Hash,
-		AxisFields: res.AxisFields,
-		Points:     make([]SweepPoint, len(res.Points)),
-	}
-	if res.Fit != nil {
-		out.Fit = &SweepFit{Axis: res.Fit.Axis, Alpha: res.Fit.Alpha, C: res.Fit.C,
-			AlphaErr: res.Fit.AlphaErr, R2: res.Fit.R2, N: res.Fit.N}
-	}
-	for i, p := range res.Points {
-		out.Points[i] = SweepPoint{
-			Index:    p.Index,
-			Values:   p.Values,
-			Scenario: fromSpec(p.Spec),
-			Hash:     p.Hash,
-			Steps: SweepAggregate{Reps: p.Steps.Reps, Mean: p.Steps.Mean, StdDev: p.Steps.StdDev,
-				Median: p.Steps.Median, CILow: p.Steps.CILow, CIHigh: p.Steps.CIHigh,
-				Min: p.Steps.Min, Max: p.Steps.Max},
-			AllCompleted: p.AllCompleted,
-			Result:       fromScenarioResult(p.Result),
-		}
-	}
-	return out
-}
-
-// fromScenarioResult converts an internal scenario result to the public
-// mirror, field for field.
-func fromScenarioResult(res *scenario.Result) *ScenarioResult {
-	out := &ScenarioResult{
-		Engine:       res.Engine,
-		Hash:         res.Hash,
-		Reps:         make([]ScenarioRep, len(res.Reps)),
-		MeanSteps:    res.MeanSteps,
-		AllCompleted: res.AllCompleted,
-		Series:       fromAggSeries(res.Series),
-		Phases:       fromBreakdown(res.Phases),
-	}
-	for i, r := range res.Reps {
-		out.Reps[i] = ScenarioRep{
-			Seed:          r.Seed,
-			Steps:         r.Steps,
-			Completed:     r.Completed,
-			Source:        r.Source,
-			CoverageSteps: r.CoverageSteps,
-			Covered:       r.Covered,
-			Survivors:     r.Survivors,
-			Curve:         r.Curve,
-			Series:        fromSeriesSet(r.Series),
-			Phases:        fromBreakdown(r.Phases),
-		}
-	}
-	return out
-}
+func RunSweep(s Sweep) (*SweepResult, error) { return sweep.Run(s, sweep.Options{}) }

@@ -99,7 +99,7 @@ func TestRunSweepMatchesInternal(t *testing.T) {
 		t.Errorf("fit missing from public result: %+v", pub.Fit)
 	}
 	for i, p := range pub.Points {
-		direct, err := mobilenet.RunScenario(p.Scenario)
+		direct, err := mobilenet.RunScenario(p.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}
