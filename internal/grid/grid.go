@@ -29,6 +29,10 @@ type Grid struct {
 	n    int32
 }
 
+// MaxSide is the largest grid side: floor(sqrt(MaxInt32)), so that every
+// node index fits an int32.
+const MaxSide = 46340
+
 // New constructs the square grid with the given side length.
 // It returns an error if side is not positive or if side*side overflows the
 // int32 node-index space.
@@ -36,8 +40,8 @@ func New(side int) (*Grid, error) {
 	if side <= 0 {
 		return nil, fmt.Errorf("grid: side must be positive, got %d", side)
 	}
-	if side > 46340 { // floor(sqrt(MaxInt32))
-		return nil, fmt.Errorf("grid: side %d too large (max 46340)", side)
+	if side > MaxSide {
+		return nil, fmt.Errorf("grid: side %d too large (max %d)", side, MaxSide)
 	}
 	s := int32(side)
 	return &Grid{side: s, n: s * s}, nil

@@ -56,6 +56,9 @@ func (t *Trial) horizon() int {
 	return t.Distance * t.Distance
 }
 
+// MaxDistance is the largest separation d whose ArenaSide fits a grid.
+const MaxDistance = grid.MaxSide / 6
+
 // ArenaSide returns the side of the arena a distance-d trial runs on: 6d,
 // floored at 8, so boundary reflection does not dominate at scale d. The
 // scenario layer uses it to canonicalise the realised grid of a "meeting"

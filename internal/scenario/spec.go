@@ -192,6 +192,9 @@ func (s Spec) Validate() error {
 		if s.Radius < 1 {
 			return fmt.Errorf("scenario: the meeting engine needs radius >= 1 (the initial separation d), got %d", s.Radius)
 		}
+		if s.Radius > meeting.MaxDistance {
+			return fmt.Errorf("scenario: the meeting engine's arena (side 6d) caps radius at %d, got %d", meeting.MaxDistance, s.Radius)
+		}
 		// The lemma is stated for the paper's lazy walk; silently running a
 		// different motion law would estimate a different quantity.
 		if s.Mobility != "" {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -174,6 +175,51 @@ func TestMeetingEngineSpec(t *testing.T) {
 	}
 	if h3 == h1 {
 		t.Error("changing the separation left the hash unchanged")
+	}
+}
+
+// TestMeetingRadiusBound: the meeting arena is 6d on a side, so a radius
+// whose arena exceeds the grid cap must fail validation instead of
+// panicking in Run or overflowing 6d (and d²) into a small, wrong arena
+// and horizon that admission checks would then accept.
+func TestMeetingRadiusBound(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		radius string
+		ok     bool
+	}{
+		{"7723", true},
+		{"7724", false},
+		{"46340", false},
+		{"3037000500", false},
+		{"9000000000000000000", false},
+	}
+	for _, tc := range cases {
+		for _, maxSteps := range []int{0, 10} {
+			body := fmt.Sprintf(`{"engine":"meeting","nodes":1,"agents":1,"radius":%s,"max_steps":%d}`, tc.radius, maxSteps)
+			sp, err := Parse([]byte(body))
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			c, err := sp.Canonical()
+			if !tc.ok {
+				if err == nil {
+					t.Errorf("%s: accepted, canonical nodes %d max_steps %d", body, c.Nodes, c.MaxSteps)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", body, err)
+				continue
+			}
+			side := 6 * sp.Radius
+			if c.Nodes != side*side {
+				t.Errorf("%s: canonical nodes %d, want %d", body, c.Nodes, side*side)
+			}
+			if cc, err := c.Canonical(); err != nil || !reflect.DeepEqual(cc, c) {
+				t.Errorf("%s: canonical form not a fixed point: %+v, %v", body, cc, err)
+			}
+		}
 	}
 }
 
