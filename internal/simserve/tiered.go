@@ -15,7 +15,9 @@ import (
 // synchronous (the next identical submission must hit), while the disk
 // commit — an fsync — rides a bounded queue drained by one writer
 // goroutine, so a slow disk never stalls the worker that just finished a
-// replicate. When the queue is full the disk write is dropped and
+// replicate. A queued spill stays readable until the writer has committed
+// it, so an LRU eviction in between cannot hide a finished result from
+// both tiers. When the queue is full the disk write is dropped and
 // counted: exactly the flaky-cache-backend posture the chaos harness
 // already pins — correctness never depends on a cache write landing.
 //
@@ -30,6 +32,16 @@ type tieredCache struct {
 	sendMu        sync.RWMutex // guards writes against Close
 	closed        bool         // under sendMu
 	droppedWrites atomic.Uint64
+
+	pendingMu sync.Mutex
+	pending   map[string]pendingSpill // queued spills the writer has not committed
+}
+
+// pendingSpill is a queued payload and the number of queued writes of its
+// key (a key can be queued again before its first commit lands).
+type pendingSpill struct {
+	payload []byte
+	n       int
 }
 
 // spillWrite is one queued disk commit; a nil-payload entry with ack set
@@ -66,11 +78,42 @@ func (c *tieredCache) writer() {
 		// A failed commit already counted in the store's WriteErrors; the
 		// entry is simply absent and the next identical submission re-runs.
 		_ = c.disk.Put(w.key, w.payload)
+		c.release(w.key)
 	}
 }
 
-// Get probes memory first, then the disk tier; a disk hit is promoted into
-// the LRU so the next fetch is a memory hit.
+// hold marks a spill of key as queued, readable through Get until release.
+func (c *tieredCache) hold(key string, payload []byte) {
+	c.pendingMu.Lock()
+	defer c.pendingMu.Unlock()
+	if c.pending == nil {
+		c.pending = make(map[string]pendingSpill)
+	}
+	c.pending[key] = pendingSpill{payload: payload, n: c.pending[key].n + 1}
+}
+
+// release ends one queued spill of key: committed, failed or dropped.
+func (c *tieredCache) release(key string) {
+	c.pendingMu.Lock()
+	defer c.pendingMu.Unlock()
+	if p := c.pending[key]; p.n > 1 {
+		c.pending[key] = pendingSpill{payload: p.payload, n: p.n - 1}
+	} else {
+		delete(c.pending, key)
+	}
+}
+
+// queued returns the payload of a spill still waiting for the writer.
+func (c *tieredCache) queued(key string) ([]byte, bool) {
+	c.pendingMu.Lock()
+	defer c.pendingMu.Unlock()
+	p, ok := c.pending[key]
+	return p.payload, ok
+}
+
+// Get probes memory first, then the queued spills, then the disk tier; a
+// hit below memory is promoted into the LRU so the next fetch is a memory
+// hit.
 func (c *tieredCache) Get(key string) ([]byte, bool) {
 	if payload, ok := c.mem.Get(key); ok {
 		return payload, true
@@ -78,7 +121,10 @@ func (c *tieredCache) Get(key string) ([]byte, bool) {
 	if c.disk == nil {
 		return nil, false
 	}
-	payload, ok := c.disk.Get(key)
+	payload, ok := c.queued(key)
+	if !ok {
+		payload, ok = c.disk.Get(key)
+	}
 	if !ok {
 		return nil, false
 	}
@@ -101,9 +147,11 @@ func (c *tieredCache) Put(key string, payload []byte) {
 		_ = c.disk.Put(key, payload)
 		return
 	}
+	c.hold(key, payload)
 	select {
 	case c.writes <- spillWrite{key: key, payload: payload}:
 	default:
+		c.release(key)
 		c.droppedWrites.Add(1)
 	}
 	c.sendMu.RUnlock()

@@ -69,6 +69,22 @@ func TestTieredWriteBehind(t *testing.T) {
 	}
 }
 
+// TestTieredQueuedSpillReadable pins the window between Put and the disk
+// commit: an entry the LRU has already evicted while its spill still waits
+// in the queue must be served from the queue, not reported missing.
+func TestTieredQueuedSpillReadable(t *testing.T) {
+	t.Parallel()
+	st := testStore(t, t.TempDir())
+	// No writer goroutine: every spill stays queued.
+	c := &tieredCache{mem: newLRU(1), disk: st, writes: make(chan spillWrite, spillQueueDepth)}
+	c.Put("a", []byte("payload-a"))
+	c.Put("b", []byte("payload-b")) // evicts a from the 1-entry LRU
+	got, ok := c.Get("a")
+	if !ok || string(got) != "payload-a" {
+		t.Fatalf("Get(a) with its spill queued = %q, %v", got, ok)
+	}
+}
+
 // TestTieredNilStoreDegrades pins the memory-only posture: without a disk
 // tier the cache is exactly the old LRU.
 func TestTieredNilStoreDegrades(t *testing.T) {
