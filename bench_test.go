@@ -3,7 +3,7 @@ package mobilenet
 // One benchmark per experiment in the validation suite: every "table and
 // figure" of the reproduction (E1-E17, see DESIGN.md §5) has a bench target
 // that regenerates it at reduced scale. Full-scale numbers come from
-// cmd/paperrepro; these benches exist so `go test -bench=.` exercises every
+// `cmd/experiments -run all,ext -out DIR`; these benches exist so `go test -bench=.` exercises every
 // experiment pipeline end to end and tracks its cost over time.
 //
 // Scale 0.15 keeps each iteration in the tens-to-hundreds of milliseconds.

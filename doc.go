@@ -56,7 +56,7 @@
 // # Scenario specs
 //
 // A Scenario declares one simulation as plain data — engine (broadcast,
-// gossip, frog, coverage, predator), arena, population, radius, seed,
+// gossip, frog, coverage, predator, meeting), arena, population, radius, seed,
 // replicates, mobility and requested metrics — and runs through one shared
 // dispatch path:
 //
@@ -94,6 +94,10 @@
 // Public API (this package): mobilenet.go (Network, options, engines),
 // scenario.go (Scenario specs), sweep.go (Sweep specs), observe.go
 // (per-step observation: Observation, WithObservations, Series), doc.go.
+// The spec and result types in scenario.go, sweep.go and observe.go are
+// type aliases of internal/scenario, internal/sweep, internal/obs and
+// internal/prof types: one struct per concept, documented once, on the
+// internal definition.
 //
 // Commands:
 //
@@ -101,7 +105,8 @@
 //   - cmd/mobiserved — the HTTP simulation service (runs + sweep batches)
 //   - cmd/mobibench — closed-loop load generator for the service
 //     (BENCH_load.json baseline)
-//   - cmd/experiments, cmd/paperrepro — the E1–E17/X1–X8 validation suite
+//   - cmd/experiments — the E1–E17/X1–X8 validation suite and its
+//     Markdown reproduction report
 //   - cmd/percmap, cmd/tracecat — percolation maps, trace inspection
 //   - cmd/doccheck — CI gate for godoc coverage and Markdown links
 //

@@ -19,8 +19,8 @@ func All() []Experiment {
 // Extensions returns the extension suite X1..X8: studies beyond the
 // paper's theorems (its §4 future work, design ablations, and quantitative
 // complements). They are not part of All() — the paper suite stays the
-// paper suite — and are run via cmd/experiments -run X<n> or
-// cmd/paperrepro (which includes them unless -ext=false).
+// paper suite — and are run via cmd/experiments -run X<n>, or all of
+// them with -run ext (-run all,ext for the full reproduction report).
 func Extensions() []Experiment {
 	return []Experiment{expX01(), expX02(), expX03(), expX04(), expX05(), expX06(), expX07(), expX08()}
 }
