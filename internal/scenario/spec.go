@@ -129,11 +129,11 @@ type Spec struct {
 	// spread, observe) and the Result aggregates them. Like Parallelism it
 	// is an execution-only knob — simulation outcomes are identical either
 	// way, profiling adds only a few clock reads per step, and the measured
-	// timings are non-deterministic — so
-	// canonicalisation zeroes it and it never splits the content hash. The
-	// simulation service strips the per-rep breakdowns before assembly
-	// (feeding them to telemetry and traces instead), keeping cached
-	// payloads byte-identical to unprofiled runs.
+	// timings are non-deterministic — so canonicalisation zeroes it and it
+	// never splits the content hash. The simulation service strips the
+	// per-rep breakdowns before assembly (feeding them to telemetry and
+	// traces instead), keeping cached payloads byte-identical to
+	// unprofiled runs.
 	Profile bool `json:"profile,omitempty"`
 }
 

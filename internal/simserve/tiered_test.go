@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,6 +83,38 @@ func TestTieredQueuedSpillReadable(t *testing.T) {
 	got, ok := c.Get("a")
 	if !ok || string(got) != "payload-a" {
 		t.Fatalf("Get(a) with its spill queued = %q, %v", got, ok)
+	}
+}
+
+// TestTieredConcurrentSpills drives Put and Get from several goroutines
+// against a live writer and a 1-entry LRU, so queued spills are held,
+// read and released concurrently: every key stays readable throughout,
+// and nothing is left pending once the queue drains.
+func TestTieredConcurrentSpills(t *testing.T) {
+	t.Parallel()
+	st := testStore(t, t.TempDir())
+	c := newTieredCache(1, st)
+	defer c.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := fmt.Sprintf("g%d-%d", g, i%10)
+				c.Put(key, []byte(key))
+				if got, ok := c.Get(key); !ok || string(got) != key {
+					t.Errorf("Get(%s) = %q, %v", key, got, ok)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c.Flush()
+	c.pendingMu.Lock()
+	defer c.pendingMu.Unlock()
+	if len(c.pending) != 0 {
+		t.Errorf("%d spills still pending after Flush", len(c.pending))
 	}
 }
 
