@@ -1,5 +1,7 @@
 // Command mobiserved serves simulations over HTTP: POST a scenario spec,
-// poll the job, fetch the result by its content hash. Repeated submissions
+// poll the job, fetch the result by its content hash — or POST with
+// ?wait=MS and get the result payload back in the same response.
+// Repeated submissions
 // of the same scenario are answered from an LRU cache; replicates run on a
 // bounded worker pool under position-derived seeds, so every result is a
 // deterministic function of the spec alone.
@@ -59,7 +61,8 @@
 // previously computed points from disk instead of re-running them.
 // -coordinator host:port,... turns the process into a fleet coordinator:
 // sweeps are expanded exactly as in a single process, then each distinct
-// point is dispatched to the worker that wins its rendezvous hash — one
+// point is dispatched to the worker that wins its rendezvous hash as one
+// blocking POST /v1/run?wait= whose response is the payload. That is one
 // home per point fleet-wide, so overlapping sweeps from many clients
 // converge on one execution per distinct point. A worker that stops
 // answering has its points re-routed to the next worker in their hash
@@ -81,6 +84,7 @@
 //	curl -s localhost:8080/v1/run -d '{"engine":"broadcast","nodes":16384,"agents":64,"seed":1}'
 //	curl -s localhost:8080/v1/jobs/job-1
 //	curl -s localhost:8080/v1/results/<hash>
+//	curl -s 'localhost:8080/v1/run?wait=2000' -d '{"engine":"broadcast","nodes":16384,"agents":64,"seed":2}'
 //	curl -s localhost:8080/v1/run -d '{"engine":"broadcast","nodes":16384,"agents":64,"seed":1,"observe":{"observables":["informed"],"every":4}}'
 //	curl -s localhost:8080/v1/results/<hash>/series
 //	curl -s localhost:8080/v1/sweeps -d '{"base":{"engine":"broadcast","nodes":16384,"agents":64,"seed":1},"axes":[{"field":"agents","values":[16,64,256]}]}'
@@ -286,7 +290,7 @@ func serve(ctx context.Context, l net.Listener, opts serveOpts, out *os.File) er
 			"Sweep-point failovers: a worker exhausted its retry budget and its points moved to the next worker in their rendezvous order.")
 		for _, w := range opts.fleet {
 			dispatch[w] = m.Histogram("mobiserved_worker_dispatch_seconds",
-				"End-to-end remote point dispatch latency (submit, poll, fetch) per worker.",
+				"End-to-end remote point dispatch latency (one blocking run request, plus any re-POSTs) per worker.",
 				telemetry.Label{Name: "worker", Value: w})
 		}
 		m.IntGaugeFunc("mobiserved_fleet_workers",

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"mobilenet/internal/scenario"
@@ -29,14 +32,6 @@ func permanent(err error) bool {
 	return errors.As(err, &p)
 }
 
-// Poll pacing for a dispatched job: start tight (points at sweep scale are
-// often milliseconds) and back off to a cap so long points do not hammer
-// the worker.
-const (
-	pollBase = 2 * time.Millisecond
-	pollCap  = 100 * time.Millisecond
-)
-
 // queueFullRetry paces resubmission against a worker's full run queue.
 // Backpressure is flow control, not failure: the worker is alive and
 // draining, so the client waits rather than triggering failover (which
@@ -48,20 +43,21 @@ const queueFullRetry = 5 * time.Millisecond
 type Client struct {
 	base string
 	hc   *http.Client
+	wait time.Duration // the ?wait= bound sent with each run request
 }
 
-// NewClient returns a client for the worker at addr (host:port or a full
-// http:// base URL). The http.Client bounds each round trip, not a whole
-// job's run: polls are individual requests.
+// NewClient returns a client for the worker at addr (host:port, or a base
+// URL with its scheme). The http.Client bounds each round trip; a blocking
+// run request holds one open for at most simserve.MaxWait.
 func NewClient(addr string, hc *http.Client) *Client {
 	base := addr
-	if len(base) < 7 || base[:7] != "http://" {
+	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Client{base: base, hc: hc}
+	return &Client{base: base, hc: hc, wait: simserve.MaxWait}
 }
 
 // Addr returns the worker's base URL.
@@ -81,113 +77,52 @@ func (c *Client) Healthy() error {
 	return nil
 }
 
-// RunPoint executes one canonical spec on the worker end to end: submit,
-// absorb queue-full backpressure, poll the job, and fetch the result
-// payload by hash — the exact bytes the worker computed and cached.
-// cancelled aborts between round trips (the job keeps running on the
-// worker; its result stays in the worker's cache for whoever asks next).
-// The returned cached flag reports the worker answered without running
-// anything. Errors are permanent (errPermanent: 4xx, failed or cancelled
-// jobs) or transient (everything else — transport failures, 5xx); the
-// caller owns retry and failover policy.
-func (c *Client) RunPoint(spec scenario.Spec, cancelled func() bool) (payload []byte, cached bool, err error) {
+// RunPoint executes one canonical spec on the worker and returns the exact
+// payload bytes the worker computed or cached, in one blocking
+// POST /v1/run?wait= per wait bound. It absorbs queue-full backpressure
+// (503) and waits that outlive their bound (202: the re-POST coalesces onto
+// the worker's in-flight job or hits its cache). ctx (nil means none)
+// abandons the point; the job runs on, and its result stays in the
+// worker's cache for whoever asks next. The returned cached flag reports
+// that the worker answered without running anything. Errors are permanent
+// (errPermanent: a rejecting status, a failed or cancelled job, ctx
+// cancellation) or transient (transport failures); the caller owns retry
+// and failover policy.
+func (c *Client) RunPoint(spec scenario.Spec, ctx context.Context) (payload []byte, cached bool, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, false, errPermanent{err}
 	}
-	var ticket simserve.Ticket
+	url := c.base + "/v1/run?wait=" + strconv.FormatInt(c.wait.Milliseconds(), 10)
+	waited := false // a 202 means the point ran for us, even if a re-POST then hits the cache
 	for {
-		status, err := c.postJSON("/v1/run", body, &ticket)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
-			return nil, false, err
+			return nil, false, errPermanent{err}
 		}
-		if status == http.StatusServiceUnavailable {
-			// Queue full: wait for the worker to drain, unless the sweep
-			// died meanwhile.
-			if cancelled != nil && cancelled() {
-				return nil, false, errPermanent{errors.New("cluster: sweep cancelled")}
-			}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := c.hc.Do(req)
+		if err == nil {
+			payload, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return nil, false, errPermanent{ctx.Err()}
+		case err != nil:
+			return nil, false, err
+		case resp.StatusCode == http.StatusOK:
+			return payload, !waited && resp.Header.Get(simserve.ResultCachedHeader) == "true", nil
+		case resp.StatusCode == http.StatusAccepted:
+			waited = true
+		case resp.StatusCode == http.StatusServiceUnavailable:
+			// Queue full: wait for the worker to drain.
 			time.Sleep(queueFullRetry)
-			continue
-		}
-		if status != http.StatusOK && status != http.StatusAccepted {
-			return nil, false, errPermanent{fmt.Errorf("cluster: worker %s rejected the point: %d", c.base, status)}
-		}
-		break
-	}
-	if !ticket.Cached {
-		if err := c.pollJob(ticket.JobID, cancelled); err != nil {
-			return nil, false, err
+		default:
+			return nil, false, errPermanent{fmt.Errorf("cluster: worker %s rejected the point: %d %s", c.base, resp.StatusCode, bytes.TrimSpace(payload))}
 		}
 	}
-	payload, err = c.fetchResult(ticket.Hash)
-	if err != nil {
-		return nil, false, err
-	}
-	return payload, ticket.Cached, nil
-}
-
-// postJSON posts body and decodes a JSON response into out (when the
-// status carries one). Transport errors return as-is (transient).
-func (c *Client) postJSON(path string, body []byte, out any) (int, error) {
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return 0, err
-		}
-	} else {
-		io.Copy(io.Discard, resp.Body)
-	}
-	return resp.StatusCode, nil
-}
-
-// pollJob waits for a job to finish, backing the poll interval off from
-// pollBase to pollCap. A failed or cancelled job is a permanent error
-// carrying the worker's message.
-func (c *Client) pollJob(id string, cancelled func() bool) error {
-	interval := pollBase
-	for {
-		resp, err := c.hc.Get(c.base + "/v1/jobs/" + id)
-		if err != nil {
-			return err
-		}
-		var v simserve.JobView
-		err = json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		switch v.Status {
-		case simserve.StatusDone:
-			return nil
-		case simserve.StatusFailed, simserve.StatusCancelled:
-			return errPermanent{fmt.Errorf("cluster: worker %s job %s %s: %s", c.base, id, v.Status, v.Error)}
-		}
-		if cancelled != nil && cancelled() {
-			return errPermanent{errors.New("cluster: sweep cancelled")}
-		}
-		time.Sleep(interval)
-		if interval *= 2; interval > pollCap {
-			interval = pollCap
-		}
-	}
-}
-
-// fetchResult fetches the exact cached payload bytes for a hash.
-func (c *Client) fetchResult(hash string) ([]byte, error) {
-	resp, err := c.hc.Get(c.base + "/v1/results/" + hash)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The worker finished the job but no longer holds the payload —
-		// eviction raced us. Transient: a resubmission recomputes it.
-		return nil, fmt.Errorf("cluster: worker %s has no payload for %s (status %d)", c.base, hash, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
 }

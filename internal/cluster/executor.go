@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +18,8 @@ type Config struct {
 	// Workers are the fleet's addresses (host:port). At least one.
 	Workers []string
 	// HTTPClient overrides the per-round-trip HTTP client (nil selects a
-	// 10s-timeout default). Tests point it at httptest servers.
+	// 10s-timeout default). Each point is one blocking run request held
+	// open for at most simserve.MaxWait, so a timeout must exceed that.
 	HTTPClient *http.Client
 
 	// Attempts bounds tries per worker before failing over to the next in
@@ -177,10 +179,7 @@ func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]b
 			}
 		}
 	}
-	cancelled := progress.Cancelled
-	if cancelled == nil {
-		cancelled = func() bool { return false }
-	}
+	ctx := progress.Ctx
 
 	order := Rank(e.cfg.Workers, p.Hash)
 	attempted := make([]bool, len(e.cfg.Workers))
@@ -192,8 +191,8 @@ func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]b
 		// not fail points while the fleet is actually recovering).
 		skipped := false
 		for _, wi := range order {
-			if cancelled() {
-				return nil, false, errors.New("cluster: sweep cancelled")
+			if ctx.Err() != nil {
+				return nil, false, ctx.Err()
 			}
 			if round == 0 && e.isDown(wi) {
 				skipped = true
@@ -205,7 +204,7 @@ func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]b
 			}
 			attempted[wi] = true
 			t0 := e.now()
-			payload, cachedOnWorker, err := e.tryWorker(wi, p, start, cancelled)
+			payload, cachedOnWorker, err := e.tryWorker(ctx, wi, p, start)
 			if err == nil {
 				if e.cfg.OnDispatch != nil {
 					e.cfg.OnDispatch(e.cfg.Workers[wi], e.now().Sub(t0))
@@ -229,17 +228,17 @@ func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]b
 }
 
 // tryWorker runs the point on one worker with the bounded-retry backoff.
-func (e *Executor) tryWorker(wi int, p sweep.Point, start func(), cancelled func() bool) ([]byte, bool, error) {
+func (e *Executor) tryWorker(ctx context.Context, wi int, p sweep.Point, start func()) ([]byte, bool, error) {
 	var lastErr error
 	for attempt := 0; attempt < e.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			e.sleep(e.backoff(attempt))
-			if cancelled() {
-				return nil, false, errPermanent{errors.New("cluster: sweep cancelled")}
+			if ctx.Err() != nil {
+				return nil, false, errPermanent{ctx.Err()}
 			}
 		}
 		start()
-		payload, cached, err := e.clients[wi].RunPoint(p.Spec, cancelled)
+		payload, cached, err := e.clients[wi].RunPoint(p.Spec, ctx)
 		if err == nil {
 			return payload, cached, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -238,14 +239,24 @@ func TestOverlappingSweepsConverge(t *testing.T) {
 // countJobs reads a worker's jobs-served counter off its own metrics
 // exposition — the same surface the load generator differs.
 func countJobs(t *testing.T, s *simserve.Server) int {
+	return metricValue(t, s, "mobiserved_jobs_served_total")
+}
+
+// routeCount reads how many requests a worker served on one route.
+func routeCount(t *testing.T, s *simserve.Server, route string) int {
+	return metricValue(t, s, `mobiserved_http_request_seconds_count{route="`+route+`"}`)
+}
+
+// metricValue reads one integer series off a worker's /metrics; a series
+// that never materialised reads 0.
+func metricValue(t *testing.T, s *simserve.Server, series string) int {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
 	var n int
-	for _, line := range bytes.Split([]byte(body), []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("mobiserved_jobs_served_total ")) {
-			if _, err := fmt.Sscan(string(line[len("mobiserved_jobs_served_total "):]), &n); err != nil {
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			if _, err := fmt.Sscan(v, &n); err != nil {
 				t.Fatal(err)
 			}
 		}

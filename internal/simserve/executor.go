@@ -2,7 +2,8 @@ package simserve
 
 import (
 	"context"
-	"fmt"
+	"errors"
+	"time"
 
 	"mobilenet/internal/sweep"
 )
@@ -20,21 +21,21 @@ type PointExecutor interface {
 	// ExecutePoint returns the payload for the point's canonical spec —
 	// byte-identical to what a direct submission of the spec would serve —
 	// and whether it was answered without creating new work (a cache hit
-	// wherever the point executed). Implementations should honour
-	// progress.Cancelled as a bail-early signal and call progress.Started
-	// once when real execution begins (cached answers never start).
+	// wherever the point executed). Implementations should return promptly
+	// once progress.Ctx is done and call progress.Started once when real
+	// execution begins (cached answers never start).
 	ExecutePoint(p sweep.Point, opts SubmitOptions, progress PointProgress) (payload []byte, cached bool, err error)
 }
 
-// PointProgress carries the dispatcher's callbacks into an executor. Both
-// functions are safe for concurrent use and cheap; executors may call
-// Cancelled as often as they like.
+// PointProgress carries the dispatcher's signals into an executor.
 type PointProgress struct {
-	// Cancelled reports that the sweep has failed and further work is
-	// wasted; executors should return promptly (the error is discarded
-	// for points that never started).
-	Cancelled func() bool
-	// Started marks the point as running in the sweep's progress view.
+	// Ctx is cancelled once the sweep has failed and further work is
+	// wasted. A point abandoned on it should return an error wrapping
+	// context.Canceled: the dispatcher then marks it cancelled rather than
+	// reporting it as the sweep's failure.
+	Ctx context.Context
+	// Started marks the point as running in the sweep's progress view. It
+	// is safe for concurrent use.
 	Started func()
 }
 
@@ -48,6 +49,12 @@ type Concurrency interface {
 	PointConcurrency() int
 }
 
+// queueFullRetry is how long a sweep dispatcher backs off when the run
+// queue cannot hold a point's replicates. Sweeps are the service's own
+// batch clients, so they absorb backpressure by waiting instead of
+// surfacing 503s to the submitter.
+const queueFullRetry = 2 * time.Millisecond
+
 // localExecutor is the default PointExecutor: points ride the ordinary
 // submit path — answered from the tiered cache, coalesced onto an
 // identical in-flight job, or executed on this server's pool — exactly as
@@ -55,29 +62,16 @@ type Concurrency interface {
 type localExecutor struct{ s *Server }
 
 func (e localExecutor) ExecutePoint(p sweep.Point, opts SubmitOptions, progress PointProgress) ([]byte, bool, error) {
-	// A "cached" ticket can race cache eviction before the payload read;
-	// resubmitting simply runs the point again, so retry a bounded number
-	// of times before giving up.
-	for attempt := 0; ; attempt++ {
-		ticket, err := e.s.submitPoint(p.Spec, opts, progress.Cancelled)
-		if err != nil {
-			return nil, false, err
+	// Queue-full rejections are flow control: back off until the queue has
+	// room or the sweep fails. An admitted point is waited out even then —
+	// its job runs regardless, and the result still lands in the cache and
+	// the sweep's progress view.
+	for {
+		t, payload, err := e.s.submitWait(context.Background(), p.Spec, opts, progress.Started)
+		if !errors.Is(err, ErrQueueFull) || progress.Ctx.Err() != nil {
+			return payload, t.Cached, err
 		}
-		if ticket.Cached {
-			if payload, ok := e.s.cache.Get(ticket.Hash); ok {
-				return payload, true, nil
-			}
-			if attempt >= 2 {
-				return nil, false, fmt.Errorf("simserve: cached result for %s evicted before it could be read", ticket.Hash)
-			}
-			continue
-		}
-		progress.Started()
-		payload, err := e.s.Wait(context.Background(), ticket.JobID)
-		if err != nil {
-			return nil, false, err
-		}
-		return payload, false, nil
+		time.Sleep(queueFullRetry)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simserve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,6 +22,7 @@ const maxSpecBytes = 1 << 20
 // ServeHTTP exposes the service API:
 //
 //	POST /v1/run                   submit a scenario spec (JSON body)
+//	POST /v1/run?wait={ms}         submit and block for the result payload
 //	GET  /v1/jobs/{id}             poll a job
 //	GET  /v1/jobs/{id}/trace       export a finished job's trace (Chrome trace-event JSON)
 //	GET  /v1/results/{hash}        fetch a cached result payload
@@ -29,6 +31,11 @@ const maxSpecBytes = 1 << 20
 //	GET  /v1/sweeps/{id}           poll a sweep (per-point progress, then result)
 //	GET  /healthz                  liveness probe
 //	GET  /metrics                  Prometheus-style service metrics
+//
+// A blocking run answers 200 with the payload itself (the bytes
+// /v1/results/{hash} serves, named by X-Result-Hash and X-Result-Cached),
+// 422 with the message of a failed job, or — past its wait bound, at most
+// MaxWait — 202 with the Ticket; a re-POST coalesces onto the same job.
 //
 // Every response carries an X-Request-Id header: the client's own id when
 // the request supplied one, a generated process-unique id otherwise. The
@@ -108,6 +115,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	wait, blocking, err := waitFrom(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -118,13 +130,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	t0 := time.Now()
-	ticket, err := s.SubmitWithOptions(spec, SubmitOptions{
+	opts := SubmitOptions{
 		RequestID: requestIDFrom(r.Context()),
 		Client:    client,
 		Deadline:  deadline,
-	})
-	stageRecorderFrom(r.Context()).Add(stageAdmission, time.Since(t0))
+	}
+	var (
+		ticket  Ticket
+		payload []byte
+	)
+	if blocking {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		defer cancel()
+		ticket, payload, err = s.submitWait(ctx, spec, opts, nil)
+	} else {
+		t0 := time.Now()
+		ticket, err = s.SubmitWithOptions(spec, opts)
+		stageRecorderFrom(r.Context()).Add(stageAdmission, time.Since(t0))
+	}
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Shed: the queue cannot hold the submission right now. One
@@ -133,19 +156,27 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.shed[shedQueueFull].Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
 	case errors.Is(err, errShutdown):
 		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
+	case err != nil && ticket.JobID == "":
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if ticket.Cached {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		// The wait ran past its bound: the job runs on, and a re-POST
+		// coalesces onto it or hits the cache.
+		writeJSON(w, http.StatusAccepted, ticket)
+	case err != nil:
+		// The job failed or was cancelled: re-running the same spec would
+		// end the same way, so this is a permanent 4xx.
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
+	case payload != nil:
+		w.Header().Set(ResultHashHeader, ticket.Hash)
+		w.Header().Set(ResultCachedHeader, strconv.FormatBool(ticket.Cached))
+		writePayload(w, payload)
+	case ticket.Cached:
 		writeJSON(w, http.StatusOK, ticket)
-		return
+	default:
+		writeJSON(w, http.StatusAccepted, ticket)
 	}
-	writeJSON(w, http.StatusAccepted, ticket)
 }
 
 // handleSweepSubmit accepts a sweep spec. Unlike single runs, a sweep is
@@ -205,14 +236,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The poll that observes a finished job carries the job's own stage
-	// breakdown to the request log: a slow poll is almost always slow
-	// because the job it waited on was, and the breakdown says where.
+	// breakdown to the request log.
 	if v.Status == StatusDone || v.Status == StatusFailed || v.Status == StatusCancelled {
-		if rec := stageRecorderFrom(r.Context()); rec != nil {
-			for stage, d := range s.jobStages(id) {
-				rec.Add(stage, d)
-			}
-		}
+		s.recordJobStages(stageRecorderFrom(r.Context()), s.lookupJob(id))
 	}
 	writeJSON(w, http.StatusOK, v)
 }
@@ -242,6 +268,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cached result for this hash")
 		return
 	}
+	writePayload(w, payload)
+}
+
+// writePayload writes a result payload as a 200 body: the exact cached
+// bytes, never re-encoded.
+func writePayload(w http.ResponseWriter, payload []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(payload)

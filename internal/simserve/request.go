@@ -101,6 +101,33 @@ func deadlineFrom(r *http.Request) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
+// MaxWait bounds one blocking POST /v1/run?wait= request. A wait that
+// runs past it answers 202 with the ticket, and the client re-POSTs onto
+// the same job. It stays well inside the fleet client's 10 s per-request
+// timeout and the daemon's default 30 s shutdown grace.
+const MaxWait = 2 * time.Second
+
+// Headers naming a blocking run's payload: its content hash, and whether
+// it was a cache hit.
+const (
+	ResultHashHeader   = "X-Result-Hash"
+	ResultCachedHeader = "X-Result-Cached"
+)
+
+// waitFrom parses the run request's wait parameter, in whole milliseconds
+// capped at MaxWait. blocking is false when the parameter is absent.
+func waitFrom(r *http.Request) (wait time.Duration, blocking bool, err error) {
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		return 0, false, nil
+	}
+	ms, err := strconv.ParseInt(q.Get("wait"), 10, 64)
+	if err != nil || ms < 0 {
+		return 0, false, fmt.Errorf("simserve: wait must be a non-negative integer of milliseconds, got %q", q.Get("wait"))
+	}
+	return time.Duration(min(ms, MaxWait.Milliseconds())) * time.Millisecond, true, nil
+}
+
 // withRequestID returns ctx carrying the request id.
 func withRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, ctxKeyRequestID, id)

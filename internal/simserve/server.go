@@ -3,8 +3,8 @@
 // its position-derived seed, so results never depend on scheduling), an
 // LRU cache keyed by the scenario's canonical content hash answers repeated
 // submissions with byte-identical payloads, and an HTTP JSON API exposes
-// submit/poll/fetch plus health and metrics endpoints. cmd/mobiserved wraps
-// the package into a daemon.
+// submit/poll/fetch or one blocking run, plus health and metrics
+// endpoints. cmd/mobiserved wraps the package into a daemon.
 package simserve
 
 import (
@@ -363,11 +363,9 @@ func New(cfg Config) *Server {
 		reqBase:  time.Now().UnixNano(),
 	}
 	if s.chaos.Active(chaos.SlowStep) {
-		s.slowStepHook = func() {
-			if s.chaos.Fire(chaos.SlowStep) {
-				time.Sleep(s.chaos.Delay(chaos.SlowStep))
-			}
-		}
+		// Delay draws the fault itself (0 when it does not fire): one
+		// draw per poll, so rates and count caps mean what they say.
+		s.slowStepHook = func() { time.Sleep(s.chaos.Delay(chaos.SlowStep)) }
 	}
 	s.initMetrics()
 	s.mux = newMux(s)
@@ -433,33 +431,42 @@ func (s *Server) effectiveDeadline(req time.Duration) time.Duration {
 // originating request id, the client id for fair queuing, and the
 // requested deadline.
 func (s *Server) SubmitWithOptions(spec scenario.Spec, opts SubmitOptions) (Ticket, error) {
+	t, _, _, err := s.submit(spec, opts)
+	return t, err
+}
+
+// submit is SubmitWithOptions that also hands back what the ticket names:
+// the payload its cache probe read on a hit — so no caller re-reads a
+// cache that may have evicted it since — or else the job created or
+// coalesced onto.
+func (s *Server) submit(spec scenario.Spec, opts SubmitOptions) (Ticket, *job, []byte, error) {
 	t0 := time.Now()
 	defer s.stages[stageAdmission].Since(t0)
 	c, err := spec.Canonical()
 	if err != nil {
-		return Ticket{}, err
+		return Ticket{}, nil, nil, err
 	}
 	if err := s.checkBounds(c); err != nil {
-		return Ticket{}, err
+		return Ticket{}, nil, nil, err
 	}
 	hash, err := scenario.HashCanonical(c)
 	if err != nil {
-		return Ticket{}, err
+		return Ticket{}, nil, nil, err
 	}
 	if payload, ok := s.cache.Get(hash); ok && payload != nil {
 		s.cacheHits.Add(1)
-		return Ticket{Hash: hash, Status: StatusDone, Cached: true}, nil
+		return Ticket{Hash: hash, Status: StatusDone, Cached: true}, nil, payload, nil
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return Ticket{}, errShutdown
+		return Ticket{}, nil, nil, errShutdown
 	}
 	if j, ok := s.inflight[hash]; ok {
 		// Coalesced onto an identical in-flight job: neither a cache hit
 		// nor a miss — no new work was created.
-		return Ticket{JobID: j.id, Hash: hash, Status: j.status}, nil
+		return Ticket{JobID: j.id, Hash: hash, Status: j.status}, j, nil, nil
 	}
 	// Re-probe the cache under the lock: an identical job may have
 	// finished between the unlocked probe above and acquiring s.mu, and
@@ -467,12 +474,12 @@ func (s *Server) SubmitWithOptions(spec scenario.Spec, opts SubmitOptions) (Tick
 	// simulation.
 	if payload, ok := s.cache.Get(hash); ok && payload != nil {
 		s.cacheHits.Add(1)
-		return Ticket{Hash: hash, Status: StatusDone, Cached: true}, nil
+		return Ticket{Hash: hash, Status: StatusDone, Cached: true}, nil, payload, nil
 	}
 	if c.Reps > s.cfg.QueueDepth {
 		// Structurally unservable at this queue size — not a transient
 		// condition, so deliberately NOT ErrQueueFull (no point retrying).
-		return Ticket{}, fmt.Errorf("simserve: %d replicates exceed the queue depth %d; lower reps or raise the server's -queue", c.Reps, s.cfg.QueueDepth)
+		return Ticket{}, nil, nil, fmt.Errorf("simserve: %d replicates exceed the queue depth %d; lower reps or raise the server's -queue", c.Reps, s.cfg.QueueDepth)
 	}
 	j := &job{
 		hash:      hash,
@@ -508,7 +515,7 @@ func (s *Server) SubmitWithOptions(spec scenario.Spec, opts SubmitOptions) (Tick
 			j.deadlineTimer.Stop()
 		}
 		j.cancelCause(nil)
-		return Ticket{}, ErrQueueFull
+		return Ticket{}, nil, nil, ErrQueueFull
 	}
 	// Counted only once work is actually created: rejected submissions are
 	// neither hits nor misses ("misses" = submissions that had to run).
@@ -526,7 +533,7 @@ func (s *Server) SubmitWithOptions(spec scenario.Spec, opts SubmitOptions) (Tick
 		args["request_id"] = opts.RequestID
 	}
 	j.trace.Add("submit "+c.Engine, "job", 0, j.trace.Epoch(), time.Since(t0), args)
-	return Ticket{JobID: j.id, Hash: hash, Status: j.status}, nil
+	return Ticket{JobID: j.id, Hash: hash, Status: j.status}, j, nil, nil
 }
 
 // checkBounds enforces the server's size limits on one canonical spec.
@@ -556,9 +563,7 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		if s.chaos.Fire(chaos.QueueLatency) {
-			time.Sleep(s.chaos.Delay(chaos.QueueLatency))
-		}
+		time.Sleep(s.chaos.Delay(chaos.QueueLatency))
 		wait := time.Since(t.enqueued)
 		s.stages[stageQueueWait].Record(wait)
 		s.mu.Lock()
@@ -808,27 +813,26 @@ func (s *Server) JobTrace(id string) (tr *prof.Trace, ok bool, err error) {
 	return j.trace, true, nil
 }
 
-// jobStages returns a job's accumulated lifecycle-stage durations — queue
-// wait and execution summed over replicates, assembly once — for the
-// per-request slow-log breakdown.
-func (s *Server) jobStages(id string) map[string]time.Duration {
+// recordJobStages merges a job's lifecycle-stage totals — queue wait and
+// execution summed over replicates, assembly once — into a request's
+// recorder, so a request that was slow because the job it waited on was
+// says where the time went.
+func (s *Server) recordJobStages(rec *StageRecorder, j *job) {
+	if rec == nil || j == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]time.Duration, 3)
-	if j.waitTotal > 0 {
-		out[stageQueueWait] = j.waitTotal
-	}
-	if j.execTotal > 0 {
-		out[stageExecute] = j.execTotal
-	}
-	if j.assembleTotal > 0 {
-		out[stageAssemble] = j.assembleTotal
-	}
-	return out
+	rec.Add(stageQueueWait, j.waitTotal)
+	rec.Add(stageExecute, j.execTotal)
+	rec.Add(stageAssemble, j.assembleTotal)
+}
+
+// lookupJob returns the job record for id, or nil.
+func (s *Server) lookupJob(id string) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id]
 }
 
 // Result returns the cached payload for a scenario hash.
@@ -898,17 +902,43 @@ func (s *Server) Series(hash string) (payload []byte, ok bool, err error) {
 // Wait blocks until the job finishes (or ctx expires) and returns its
 // payload. Failed jobs return an error carrying the job's failure message.
 func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookupJob(id)
+	if j == nil {
 		return nil, fmt.Errorf("simserve: unknown job %q", id)
 	}
+	return s.await(ctx, j)
+}
+
+// submitWait is the one submit-and-wait path, behind POST /v1/run?wait=
+// and local sweep points. It admits spec like SubmitWithOptions, then
+// returns the payload: the cache probe's own bytes on a hit, otherwise the
+// job's once it finishes. started, when non-nil, fires once a job was
+// created or joined. If ctx expires first it returns the ticket and ctx's
+// error, and the job runs on.
+func (s *Server) submitWait(ctx context.Context, spec scenario.Spec, opts SubmitOptions, started func()) (Ticket, []byte, error) {
+	t0 := time.Now()
+	t, j, payload, err := s.submit(spec, opts)
+	stageRecorderFrom(ctx).Add(stageAdmission, time.Since(t0))
+	if err != nil || j == nil {
+		return t, payload, err
+	}
+	if started != nil {
+		started()
+	}
+	payload, err = s.await(ctx, j)
+	return t, payload, err
+}
+
+// await blocks until j finishes (or ctx expires) and returns the job's own
+// payload, or an error carrying its failure or cancellation message. The
+// job's stages land on ctx's stage recorder once it has finished.
+func (s *Server) await(ctx context.Context, j *job) ([]byte, error) {
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-j.done:
 	}
+	s.recordJobStages(stageRecorderFrom(ctx), j)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch j.status {

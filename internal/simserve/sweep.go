@@ -12,12 +12,6 @@ import (
 	"mobilenet/internal/sweep"
 )
 
-// queueFullRetry is how long a sweep dispatcher backs off when the run
-// queue cannot hold a point's replicates. Sweeps are the service's own
-// batch clients, so they absorb backpressure by waiting instead of
-// surfacing 503s to the submitter.
-const queueFullRetry = 2 * time.Millisecond
-
 // sweepJob is the internal record of one submitted sweep. All mutable
 // fields are guarded by Server.mu.
 type sweepJob struct {
@@ -30,13 +24,12 @@ type sweepJob struct {
 	deadline  time.Duration // per-point deadline forwarded to each job
 
 	status      string
-	pointStatus []string // per point: queued/running/done/failed
+	pointStatus []string // per point: queued/running/done/failed/cancelled
 	pointCached []bool   // per point: answered from the result cache
 	pointErr    []error  // per point: failure, nil otherwise
 	payloads    [][]byte // per point: encoded scenario.Result
-	done        int      // finished points (done or failed)
+	done        int      // finished points (done, failed or cancelled)
 	cached      int      // points answered from the cache
-	failed      bool     // cancellation flag for the dispatcher
 
 	errMsg string // sweep-level error: the lowest-indexed point failure
 	result []byte // encoded sweep.Result, set when status == done
@@ -63,7 +56,8 @@ type SweepPointView struct {
 	// Hash is the point's scenario content hash; its result is fetchable
 	// at /v1/results/{hash} once done.
 	Hash string `json:"hash"`
-	// Status is queued, running, done or failed.
+	// Status is queued, running, done or failed — or cancelled for a point
+	// abandoned because another point failed the sweep.
 	Status string `json:"status"`
 	// Cached reports that the point was answered from the result cache
 	// without running anything.
@@ -183,20 +177,25 @@ func (s *Server) runSweep(j *sweepJob) {
 	j.status = StatusRunning
 	s.mu.Unlock()
 
-	cancelled := func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return j.failed
-	}
+	// ctx is cancelled by the first failure: it stops the dispatch of
+	// further points and reaches into executors mid-point.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	recordErr := func(u sweep.DistinctPoint, err error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		status := StatusFailed
+		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
+			// Abandoned because another point already failed the sweep:
+			// that failure is the sweep's error, not this one.
+			status, err = StatusCancelled, nil
+		}
 		for _, idx := range u.Indices {
-			j.pointStatus[idx] = StatusFailed
+			j.pointStatus[idx] = status
 			j.pointErr[idx] = err
 			j.done++
 		}
-		j.failed = true
+		cancel()
 	}
 	recordRunning := func(u sweep.DistinctPoint) {
 		s.mu.Lock()
@@ -228,7 +227,7 @@ func (s *Server) runSweep(j *sweepJob) {
 	sem := make(chan struct{}, s.executorConcurrency(exec))
 	var wg sync.WaitGroup
 	for _, u := range uniq {
-		if cancelled() {
+		if ctx.Err() != nil {
 			break
 		}
 		sem <- struct{}{}
@@ -239,8 +238,8 @@ func (s *Server) runSweep(j *sweepJob) {
 			payload, cached, err := exec.ExecutePoint(u.Point, SubmitOptions{
 				RequestID: j.requestID, Client: j.client, Deadline: j.deadline,
 			}, PointProgress{
-				Cancelled: cancelled,
-				Started:   func() { recordRunning(u) },
+				Ctx:     ctx,
+				Started: func() { recordRunning(u) },
 			})
 			if err != nil {
 				recordErr(u, fmt.Errorf("simserve: sweep point %d: %w", u.Index, err))
@@ -251,24 +250,6 @@ func (s *Server) runSweep(j *sweepJob) {
 	}
 	wg.Wait()
 	s.finishSweep(j)
-}
-
-// submitPoint submits one point spec under the sweep's execution
-// envelope, absorbing transient queue-full rejections by backing off
-// until the queue has room, the sweep is cancelled, or the server shuts
-// down. These retries are internal flow control and never touch the shed
-// counters — the sweep was already admitted at the HTTP layer.
-func (s *Server) submitPoint(spec scenario.Spec, opts SubmitOptions, cancelled func() bool) (Ticket, error) {
-	for {
-		t, err := s.SubmitWithOptions(spec, opts)
-		if err == nil {
-			return t, nil
-		}
-		if !errors.Is(err, ErrQueueFull) || cancelled() {
-			return Ticket{}, err
-		}
-		time.Sleep(queueFullRetry)
-	}
 }
 
 // finishSweep assembles the sweep result (or its failure) and finalises
