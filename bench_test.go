@@ -190,7 +190,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 		ids := make([]string, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ticket, err := s.Submit(spec(uint64(i) + 1))
+			ticket, err := s.Submit(spec(uint64(i)+1), simserve.SubmitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		s := simserve.New(simserve.Config{})
 		defer s.Shutdown(context.Background())
-		ticket, err := s.Submit(spec(1))
+		ticket, err := s.Submit(spec(1), simserve.SubmitOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ticket, err := s.Submit(spec(1))
+			ticket, err := s.Submit(spec(1), simserve.SubmitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

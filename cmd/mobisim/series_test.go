@@ -129,7 +129,7 @@ func TestSeriesByteIdentityAcrossSurfaces(t *testing.T) {
 	}
 	srv := simserve.New(simserve.Config{Workers: 2})
 	defer srv.Shutdown(context.Background())
-	ticket, err := srv.Submit(internalSpec)
+	ticket, err := srv.Submit(internalSpec, simserve.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,6 @@ type Config struct {
 	// (ProbeLoop) clears the mark early when the worker answers /healthz.
 	DownFor time.Duration
 
-	// Concurrency is the in-flight point bound the executor advertises to
-	// the sweep dispatcher; 0 selects 4 x len(Workers) (each worker's own
-	// pool is its real limit — the coordinator just keeps them all fed).
-	Concurrency int
-
 	// Lookup probes the coordinator's own tiered cache before any network
 	// hop; Persist writes a fetched payload back into it (so the
 	// coordinator serves /v1/results/{hash} for sweep points, and its disk
@@ -69,9 +64,6 @@ func (c Config) withDefaults() Config {
 	if c.DownFor <= 0 {
 		c.DownFor = 5 * time.Second
 	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 4 * len(c.Workers)
-	}
 	return c
 }
 
@@ -84,19 +76,10 @@ type Executor struct {
 
 	mu        sync.Mutex
 	downUntil []time.Time // per worker; zero = up
-	inflight  map[string]*flight
 
 	rng   *rand.Rand // jitter source, guarded by mu
 	now   func() time.Time
 	sleep func(time.Duration)
-}
-
-// flight is one in-progress distinct point: the first requester executes,
-// later requesters (overlapping sweeps) wait and share the outcome.
-type flight struct {
-	done    chan struct{}
-	payload []byte
-	err     error
 }
 
 // New validates the config and returns an Executor.
@@ -109,7 +92,6 @@ func New(cfg Config) (*Executor, error) {
 		cfg:       cfg,
 		clients:   make([]*Client, len(cfg.Workers)),
 		downUntil: make([]time.Time, len(cfg.Workers)),
-		inflight:  make(map[string]*flight),
 		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 		now:       time.Now,
 		sleep:     time.Sleep,
@@ -120,39 +102,25 @@ func New(cfg Config) (*Executor, error) {
 	return e, nil
 }
 
-// PointConcurrency implements simserve.Concurrency.
-func (e *Executor) PointConcurrency() int { return e.cfg.Concurrency }
+// PointConcurrency implements simserve.Concurrency: four points in flight
+// per worker. Each worker's own pool is its real limit — the coordinator
+// just keeps them all fed.
+func (e *Executor) PointConcurrency() int { return 4 * len(e.cfg.Workers) }
 
 // ExecutePoint implements simserve.PointExecutor: coordinator cache, then
-// in-flight coalescing, then the point's rendezvous-ordered failover chain.
-func (e *Executor) ExecutePoint(p sweep.Point, opts simserve.SubmitOptions, progress simserve.PointProgress) ([]byte, bool, error) {
+// the point's rendezvous-ordered failover chain. The coordinator keeps no
+// in-flight state of its own: overlapping sweeps that ask for one point
+// each send their own request under their own sweep's context, rendezvous
+// sends them all to the same worker, and that worker's in-flight
+// coalescing and cache run the point once. A point that joined another
+// request's in-flight job is therefore not reported as cached.
+func (e *Executor) ExecutePoint(p sweep.Point, _ simserve.SubmitOptions, progress simserve.PointProgress) ([]byte, bool, error) {
 	if e.cfg.Lookup != nil {
 		if payload, ok := e.cfg.Lookup(p.Hash); ok {
 			return payload, true, nil
 		}
 	}
-
-	// Coalesce overlapping sweeps' requests for the same distinct point:
-	// one network execution, shared by everyone who asked while it ran.
-	e.mu.Lock()
-	if f, ok := e.inflight[p.Hash]; ok {
-		e.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		return f.payload, true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[p.Hash] = f
-	e.mu.Unlock()
-
 	payload, cached, err := e.dispatch(p, progress)
-	f.payload, f.err = payload, err
-	e.mu.Lock()
-	delete(e.inflight, p.Hash)
-	e.mu.Unlock()
-	close(f.done)
 	if err != nil {
 		return nil, false, err
 	}

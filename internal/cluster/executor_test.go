@@ -74,7 +74,7 @@ func coordinator(t *testing.T, workers []string, tweak func(*Config)) (*simserve
 
 func waitSweep(t *testing.T, s *simserve.Server, sp sweep.Spec) []byte {
 	t.Helper()
-	ticket, err := s.SubmitSweep(sp)
+	ticket, err := s.SubmitSweep(sp, simserve.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,11 @@ func TestOverlappingSweepsConverge(t *testing.T) {
 	s2, w2 := testWorker(t, simserve.Config{Workers: 2})
 	coord, _ := coordinator(t, []string{w1.URL, w2.URL}, nil)
 
-	t1, err := coord.SubmitSweep(testSweep())
+	t1, err := coord.SubmitSweep(testSweep(), simserve.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := coord.SubmitSweep(testSweep())
+	t2, err := coord.SubmitSweep(testSweep(), simserve.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

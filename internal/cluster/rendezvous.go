@@ -5,7 +5,9 @@
 // worker set): every coordinator — and every overlapping sweep on the same
 // coordinator — sends a given point to the same worker, so fleet-wide
 // deduplication is structural (each distinct point has one home, whose
-// in-flight coalescing and tiered cache collapse repeats), not a protocol.
+// in-flight coalescing and tiered cache collapse repeats), not a protocol:
+// the coordinator keeps no in-flight map of its own, and each sweep's
+// request for a point runs under that sweep's own context.
 // When a worker dies, its points re-route to the next worker in that
 // point's preference order with bounded retries, and only that worker's
 // 1/N share moves — the rendezvous property that makes failover cheap.

@@ -131,7 +131,7 @@ func TestSweepFailureCancelsInflightPoint(t *testing.T) {
 		Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: 4096, Agents: 8, Radius: 1, Seed: 4},
 		Axes: []sweep.Axis{{Field: "agents", Values: []any{8, 64}}},
 	}
-	ticket, err := coord.SubmitSweep(sp)
+	ticket, err := coord.SubmitSweep(sp, simserve.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +151,69 @@ func TestSweepFailureCancelsInflightPoint(t *testing.T) {
 	}
 	if exec.Healthy() != 1 {
 		t.Error("sweep cancellation marked the worker down")
+	}
+}
+
+// TestSweepFailureSparesOverlappingSweep pins that one sweep's failure
+// stays its own: sweep B shares only the healthy slow point with failing
+// sweep A, asks for it while A's request is mid-wait, and still completes
+// with the library payload after A abandons its request.
+func TestSweepFailureSparesOverlappingSweep(t *testing.T) {
+	t.Parallel()
+	// The worker wrapper of TestSweepFailureCancelsInflightPoint: A's bad
+	// point is held back until its slow point's request is inside the
+	// worker.
+	ws := simserve.New(simserve.Config{Workers: 2, MaxAgents: 32,
+		Chaos: mustChaos(t, chaos.SlowStep+":1x1:1s")})
+	var once sync.Once
+	slowIn := make(chan struct{})
+	w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		if strings.Contains(string(body), `"agents":64`) {
+			<-slowIn
+			time.Sleep(50 * time.Millisecond)
+		} else {
+			once.Do(func() { close(slowIn) })
+		}
+		ws.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(func() {
+		w.Close()
+		ws.Shutdown(t.Context())
+	})
+	coord, _ := coordinator(t, []string{w.URL}, nil)
+
+	base := scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: 4096, Agents: 8, Radius: 1, Seed: 4}
+	a := sweep.Spec{Base: base, Axes: []sweep.Axis{{Field: "agents", Values: []any{8, 64}}}}
+	b := sweep.Spec{Base: base, Axes: []sweep.Axis{{Field: "agents", Values: []any{8}}}}
+	ta, err := coord.SubmitSweep(a, simserve.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-slowIn
+	tb, err := coord.SubmitSweep(b, simserve.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.WaitSweep(t.Context(), ta.SweepID); err == nil || !strings.Contains(err.Error(), "point 1") {
+		t.Fatalf("sweep A error = %v, want point 1's rejection", err)
+	}
+	if _, err := coord.WaitSweep(t.Context(), tb.SweepID); err != nil {
+		t.Fatalf("sweep B failed with sweep A: %v", err)
+	}
+	points, _ := b.Expand()
+	got, ok := coord.Result(points[0].Hash)
+	if !ok {
+		t.Fatal("sweep B's point not persisted on the coordinator")
+	}
+	res, err := scenario.Run(points[0].Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(res)
+	if !bytes.Equal(got, want) {
+		t.Fatal("sweep B's point payload differs from the library run")
 	}
 }
 

@@ -50,7 +50,7 @@ func TestSweepExceedingMaxSweepPoints(t *testing.T) {
 		Base: scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8, Seed: 1},
 		Axes: []sweep.Axis{{Field: "seed", Values: []any{int64(1), int64(2), int64(3)}}},
 	}
-	if _, err := s.SubmitSweep(sp); err == nil || !strings.Contains(err.Error(), "exceeding") {
+	if _, err := s.SubmitSweep(sp, SubmitOptions{}); err == nil || !strings.Contains(err.Error(), "exceeding") {
 		t.Errorf("3-point sweep accepted by a 2-point server: %v", err)
 	}
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(
@@ -65,7 +65,7 @@ func TestSweepExceedingMaxSweepPoints(t *testing.T) {
 	}
 	// An in-budget sweep still runs on the same server.
 	sp.Axes = []sweep.Axis{{Field: "seed", Values: []any{int64(1), int64(2)}}}
-	ticket, err := s.SubmitSweep(sp)
+	ticket, err := s.SubmitSweep(sp, SubmitOptions{})
 	if err != nil {
 		t.Fatalf("in-budget sweep rejected: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestSweepExceedingMaxSweepPoints(t *testing.T) {
 func TestWaitWithCancelledContext(t *testing.T) {
 	t.Parallel()
 	s, _ := testServer(t, Config{Workers: 1})
-	ticket, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8, Seed: 9})
+	ticket, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8, Seed: 9}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWaitSweepWithCancelledContext(t *testing.T) {
 	ticket, err := s.SubmitSweep(sweep.Spec{
 		Base: scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8, Seed: 1},
 		Axes: []sweep.Axis{{Field: "seed", Values: []any{int64(4), int64(5)}}},
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

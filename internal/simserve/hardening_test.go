@@ -48,7 +48,7 @@ func TestServerSurvivesEnginePanic(t *testing.T) {
 	s := New(Config{Workers: 2, Chaos: mustParseChaos(t, chaos.WorkerPanic+":1x1")})
 	defer s.Shutdown(context.Background())
 
-	ticket, err := s.Submit(fastSpec(1))
+	ticket, err := s.Submit(fastSpec(1), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestServerSurvivesEnginePanic(t *testing.T) {
 
 	// The pool is intact: the x1 cap spent the injection, so the next job
 	// runs clean on the same workers.
-	ticket2, err := s.Submit(fastSpec(2))
+	ticket2, err := s.Submit(fastSpec(2), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeadlineCancelsMidRun(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 
-	ticket, err := s.SubmitWithOptions(longSpec(3), SubmitOptions{Deadline: 30 * time.Millisecond})
+	ticket, err := s.Submit(longSpec(3), SubmitOptions{Deadline: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDefaultDeadlineApplies(t *testing.T) {
 	t.Parallel()
 	s := New(Config{Workers: 2, DefaultDeadline: 30 * time.Millisecond})
 	defer s.Shutdown(context.Background())
-	ticket, err := s.Submit(longSpec(4))
+	ticket, err := s.Submit(longSpec(4), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestAbandonedClientFreesWorkers(t *testing.T) {
 	// deadline fires mid-first-replicate; the queued two must skip.
 	abandoned := longSpec(5)
 	abandoned.Reps = 3
-	ticket, err := s.SubmitWithOptions(abandoned, SubmitOptions{Deadline: 30 * time.Millisecond})
+	ticket, err := s.Submit(abandoned, SubmitOptions{Deadline: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := s.Submit(fastSpec(6))
+	fast, err := s.Submit(fastSpec(6), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSiblingFailureCancelsReplicates(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	spec := longSpec(7)
 	spec.Reps = 3
-	ticket, err := s.Submit(spec)
+	ticket, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCacheWriteErrorChaosDegradesGracefully(t *testing.T) {
 	t.Parallel()
 	s := New(Config{Workers: 2, Chaos: mustParseChaos(t, chaos.CacheWriteError+":1")})
 	defer s.Shutdown(context.Background())
-	ticket, err := s.Submit(fastSpec(8))
+	ticket, err := s.Submit(fastSpec(8), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCacheWriteErrorChaosDegradesGracefully(t *testing.T) {
 	if _, cached := s.Result(ticket.Hash); cached {
 		t.Fatal("payload cached despite the injected write error")
 	}
-	ticket2, err := s.Submit(fastSpec(8))
+	ticket2, err := s.Submit(fastSpec(8), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCacheWriteErrorChaosDegradesGracefully(t *testing.T) {
 func TestShutdownEscalatesPastDrainBudget(t *testing.T) {
 	t.Parallel()
 	s := New(Config{Workers: 1})
-	ticket, err := s.Submit(longSpec(9))
+	ticket, err := s.Submit(longSpec(9), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestQueueFullSheds503RetryAfter(t *testing.T) {
 	t.Parallel()
 	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
 	// Occupy the worker, then fill the queue's single slot.
-	running, err := s.SubmitWithOptions(longSpec(12), SubmitOptions{Deadline: 2 * time.Second})
+	running, err := s.Submit(longSpec(12), SubmitOptions{Deadline: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestQueueFullSheds503RetryAfter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.SubmitWithOptions(longSpec(13), SubmitOptions{Deadline: 2 * time.Second}); err != nil {
+	if _, err := s.Submit(longSpec(13), SubmitOptions{Deadline: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	body, err := json.Marshal(longSpec(14))

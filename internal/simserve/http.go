@@ -145,7 +145,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ticket, payload, err = s.submitWait(ctx, spec, opts, nil)
 	} else {
 		t0 := time.Now()
-		ticket, err = s.SubmitWithOptions(spec, opts)
+		ticket, err = s.Submit(spec, opts)
 		stageRecorderFrom(r.Context()).Add(stageAdmission, time.Since(t0))
 	}
 	switch {
@@ -203,7 +203,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ticket, err := s.SubmitSweepWithOptions(sp, SubmitOptions{
+	ticket, err := s.SubmitSweep(sp, SubmitOptions{
 		RequestID: requestIDFrom(r.Context()),
 		Client:    client,
 		Deadline:  deadline,

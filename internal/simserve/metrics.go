@@ -55,7 +55,7 @@ func (s *Server) initMetrics() {
 	m := telemetry.NewRegistry()
 	s.metrics = m
 	m.IntGaugeFunc("mobiserved_queue_depth", "Replicate tasks waiting for a worker.",
-		func() int64 { return int64(s.QueueDepth()) })
+		func() int64 { return int64(s.queue.len()) })
 	m.IntGaugeFunc("mobiserved_workers", "Size of the worker pool.",
 		func() int64 { return int64(s.cfg.Workers) })
 	s.jobsServed = m.Counter("mobiserved_jobs_served_total", "Jobs completed successfully.")

@@ -107,7 +107,7 @@ func TestMetricsStageHistogramsAppear(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	spec := scenario.Spec{Engine: "broadcast", Nodes: 256, Agents: 8, Reps: 2, Seed: 99}
-	ticket, err := s.Submit(spec)
+	ticket, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMetricsStageHistogramsAppear(t *testing.T) {
 	if _, err := s.Wait(ctx, ticket.JobID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(spec); err != nil { // cache hit
+	if _, err := s.Submit(spec, SubmitOptions{}); err != nil { // cache hit
 		t.Fatal(err)
 	}
 

@@ -163,7 +163,7 @@ func TestEnginePhaseHistograms(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	const reps = 2
 	spec := scenario.Spec{Engine: "broadcast", Nodes: 1024, Agents: 16, Seed: 4, Reps: reps}
-	ticket, err := s.Submit(spec)
+	ticket, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestJobPhasesStayOutOfPayload(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	spec := scenario.Spec{Engine: "broadcast", Nodes: 256, Agents: 8, Seed: 12, Reps: 2}
-	ticket, err := s.Submit(spec)
+	ticket, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSweepPropagatesRequestID(t *testing.T) {
 	t.Parallel()
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
-	ticket, err := s.SubmitSweepWithRequestID(testSweepSpec(), "sweep-rid-1")
+	ticket, err := s.SubmitSweep(testSweepSpec(), SubmitOptions{RequestID: "sweep-rid-1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestSeriesNotFoundPaths(t *testing.T) {
 		t.Errorf("unknown hash series: status %d body %s", code, body)
 	}
 	spec := scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8, Seed: 5}
-	ticket, err := s.Submit(spec)
+	ticket, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,24 +134,24 @@ func TestSeriesBoundRejectsUnboundedObservation(t *testing.T) {
 	spec := scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: 256, Agents: 8,
 		Seed: 1, MaxSteps: 100000,
 		Observe: &obs.Spec{Observables: []string{obs.Informed}}}
-	if _, err := s.Submit(spec); err == nil {
+	if _, err := s.Submit(spec, SubmitOptions{}); err == nil {
 		t.Error("unbounded observation accepted past MaxSeriesPoints")
 	}
 	// A coarser cadence fits.
 	spec.Observe = &obs.Spec{Observables: []string{obs.Informed}, Every: 1000}
-	if _, err := s.Submit(spec); err != nil {
+	if _, err := s.Submit(spec, SubmitOptions{}); err != nil {
 		t.Errorf("cadence-bounded observation rejected: %v", err)
 	}
 	// So does an explicit max_points, regardless of cadence.
 	spec.Observe = &obs.Spec{Observables: []string{obs.Informed}, MaxPoints: 64}
-	if _, err := s.Submit(spec); err != nil {
+	if _, err := s.Submit(spec, SubmitOptions{}); err != nil {
 		t.Errorf("max_points-bounded observation rejected: %v", err)
 	}
 	// An oversized max_points is rejected even with a tiny max_steps: the
 	// explicit budget is what the server holds clients to.
 	spec.Observe = &obs.Spec{Observables: []string{obs.Informed}, MaxPoints: 4096}
 	spec.MaxSteps = 10
-	if _, err := s.Submit(spec); err == nil {
+	if _, err := s.Submit(spec, SubmitOptions{}); err == nil {
 		t.Error("oversized max_points accepted")
 	}
 	// A spec on the engine's default (completion-targeted) cap is
@@ -161,12 +161,12 @@ func TestSeriesBoundRejectsUnboundedObservation(t *testing.T) {
 	spec = scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: 1 << 14, Agents: 8, Seed: 1,
 		MaxSteps: 500,
 		Observe:  &obs.Spec{Observables: []string{obs.Informed}, Every: 4}}
-	if _, err := s.Submit(spec); err != nil {
+	if _, err := s.Submit(spec, SubmitOptions{}); err != nil {
 		t.Errorf("in-budget explicit cap rejected: %v", err)
 	}
 	defaultCap := scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8, Seed: 1,
 		Observe: &obs.Spec{Observables: []string{obs.Informed}}}
-	if _, err := s.Submit(defaultCap); err != nil {
+	if _, err := s.Submit(defaultCap, SubmitOptions{}); err != nil {
 		t.Errorf("default-cap observed spec rejected: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestSweepCarriesSeries(t *testing.T) {
 	t.Parallel()
 	s, _ := testServer(t, Config{Workers: 2})
 	sp := sweepSpecWithObserve()
-	ticket, err := s.SubmitSweep(sp)
+	ticket, err := s.SubmitSweep(sp, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

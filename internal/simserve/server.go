@@ -376,34 +376,16 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Submit validates and canonicalises the spec, then answers from the cache,
-// coalesces onto an identical in-flight job, or enqueues a new job whose
-// replicates the pool executes under position-derived seeds.
-//
-// The whole call is the "admission" stage of the request lifecycle —
-// validation, canonicalisation, hashing, bounds checks, cache probes and
-// the enqueue itself — and lands in the stage histogram even when the
-// submission is rejected, so admission-path regressions are visible.
-func (s *Server) Submit(spec scenario.Spec) (Ticket, error) {
-	return s.SubmitWithOptions(spec, SubmitOptions{})
-}
-
-// SubmitWithRequestID is Submit carrying the originating request id, which
-// the created job records and its exported trace annotates — one id
-// threads HTTP request -> job -> replicate spans (and, via sweep
-// dispatchers, sweep -> point jobs). A submission that coalesces onto an
-// in-flight job keeps that job's original id: the job's identity is its
-// content hash, and the first requester named it.
-func (s *Server) SubmitWithRequestID(spec scenario.Spec, requestID string) (Ticket, error) {
-	return s.SubmitWithOptions(spec, SubmitOptions{RequestID: requestID})
-}
-
 // SubmitOptions carries a submission's execution envelope — everything
 // about HOW to run that is not part of the scenario's identity. None of it
 // touches the canonical spec or the content hash.
 type SubmitOptions struct {
-	// RequestID threads the originating request id into the job record
-	// and its trace (see SubmitWithRequestID).
+	// RequestID is the originating request id, which the created job
+	// records and its exported trace annotates — one id threads HTTP
+	// request -> job -> replicate spans (and, via the sweep dispatcher,
+	// sweep -> point jobs). A submission that coalesces onto an in-flight
+	// job keeps that job's original id: the job's identity is its content
+	// hash, and the first requester named it.
 	RequestID string
 	// Client keys the fair-queue lane (and, at the HTTP layer, the rate
 	// limiter). Empty ids share the anonymous lane.
@@ -427,15 +409,21 @@ func (s *Server) effectiveDeadline(req time.Duration) time.Duration {
 	return d
 }
 
-// SubmitWithOptions is Submit carrying the full execution envelope: the
-// originating request id, the client id for fair queuing, and the
-// requested deadline.
-func (s *Server) SubmitWithOptions(spec scenario.Spec, opts SubmitOptions) (Ticket, error) {
+// Submit validates and canonicalises the spec, then answers from the cache,
+// coalesces onto an identical in-flight job, or enqueues a new job whose
+// replicates the pool executes under position-derived seeds. opts is the
+// execution envelope; its zero value asks for the defaults.
+//
+// The whole call is the "admission" stage of the request lifecycle —
+// validation, canonicalisation, hashing, bounds checks, cache probes and
+// the enqueue itself — and lands in the stage histogram even when the
+// submission is rejected, so admission-path regressions are visible.
+func (s *Server) Submit(spec scenario.Spec, opts SubmitOptions) (Ticket, error) {
 	t, _, _, err := s.submit(spec, opts)
 	return t, err
 }
 
-// submit is SubmitWithOptions that also hands back what the ticket names:
+// submit is Submit that also hands back what the ticket names:
 // the payload its cache probe read on a hit — so no caller re-reads a
 // cache that may have evicted it since — or else the job created or
 // coalesced onto.
@@ -910,7 +898,7 @@ func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
 }
 
 // submitWait is the one submit-and-wait path, behind POST /v1/run?wait=
-// and local sweep points. It admits spec like SubmitWithOptions, then
+// and local sweep points. It admits spec like Submit, then
 // returns the payload: the cache probe's own bytes on a hit, otherwise the
 // job's once it finishes. started, when non-nil, fires once a job was
 // created or joined. If ctx expires first it returns the ticket and ctx's
@@ -949,11 +937,6 @@ func (s *Server) await(ctx context.Context, j *job) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("simserve: job %s failed: %s", j.id, j.errMsg)
 	}
-}
-
-// QueueDepth returns the number of replicate tasks waiting for a worker.
-func (s *Server) QueueDepth() int {
-	return s.queue.len()
 }
 
 // shutdownResidual bounds how long Shutdown waits for workers after

@@ -188,11 +188,11 @@ func TestSubmissionCoalescing(t *testing.T) {
 	// the first is still in flight.
 	s, _ := testServer(t, Config{Workers: 1})
 	spec := scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: 4096, Agents: 16, Seed: 1, Reps: 4}
-	t1, err := s.Submit(spec)
+	t1, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := s.Submit(spec)
+	t2, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +214,14 @@ func TestQueueFull(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})
 	defer s.Shutdown(context.Background())
 	if _, err := s.Submit(scenario.Spec{Engine: scenario.EngineBroadcast,
-		Nodes: 256, Agents: 4, Seed: 1, Reps: 3}); err == nil {
+		Nodes: 256, Agents: 4, Seed: 1, Reps: 3}, SubmitOptions{}); err == nil {
 		t.Error("3-rep job accepted into a depth-2 queue")
 	}
 	// Distinct seeds so the jobs do not coalesce.
 	var errs int
 	for seed := uint64(1); seed <= 16; seed++ {
 		_, err := s.Submit(scenario.Spec{Engine: scenario.EngineBroadcast,
-			Nodes: 4096, Agents: 8, Seed: seed, Reps: 2})
+			Nodes: 4096, Agents: 8, Seed: seed, Reps: 2}, SubmitOptions{})
 		if err != nil {
 			errs++
 		}
@@ -312,7 +312,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 			// paths race with fresh jobs.
 			seed := uint64(i % (n / 2))
 			ticket, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip,
-				Nodes: 256, Agents: 8, Seed: seed})
+				Nodes: 256, Agents: 8, Seed: seed}, SubmitOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -343,7 +343,7 @@ func TestShutdownRejectsNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip,
-		Nodes: 256, Agents: 8}); err == nil {
+		Nodes: 256, Agents: 8}, SubmitOptions{}); err == nil {
 		t.Error("submission accepted after shutdown")
 	}
 	// Shutdown is idempotent.
@@ -358,7 +358,7 @@ func TestJobEviction(t *testing.T) {
 	var last Ticket
 	for seed := uint64(1); seed <= 4; seed++ {
 		ticket, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip,
-			Nodes: 256, Agents: 8, Seed: seed})
+			Nodes: 256, Agents: 8, Seed: seed}, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +398,7 @@ func TestInvalidMobilityRejectedAtSubmit(t *testing.T) {
 	t.Parallel()
 	s, ts := testServer(t, Config{Workers: 1})
 	if _, err := s.Submit(scenario.Spec{Engine: scenario.EngineBroadcast,
-		Nodes: 256, Agents: 8, Mobility: "waypoint:pause=-1"}); err == nil {
+		Nodes: 256, Agents: 8, Mobility: "waypoint:pause=-1"}, SubmitOptions{}); err == nil {
 		t.Error("negative waypoint pause accepted at submit time")
 	}
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
@@ -423,7 +423,7 @@ func TestServerSizeLimits(t *testing.T) {
 		{Engine: scenario.EnginePredator, Nodes: 256, Agents: 8, Preys: 500},
 	}
 	for _, spec := range cases {
-		if _, err := s.Submit(spec); err == nil {
+		if _, err := s.Submit(spec, SubmitOptions{}); err == nil {
 			t.Errorf("oversized spec %+v accepted", spec)
 		}
 	}
@@ -437,7 +437,7 @@ func TestServerSizeLimits(t *testing.T) {
 		t.Errorf("oversized nodes: status %d, want 400", resp.StatusCode)
 	}
 	// Within limits still runs.
-	if _, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8}); err != nil {
+	if _, err := s.Submit(scenario.Spec{Engine: scenario.EngineGossip, Nodes: 256, Agents: 8}, SubmitOptions{}); err != nil {
 		t.Errorf("in-bounds spec rejected: %v", err)
 	}
 }
@@ -449,18 +449,18 @@ func TestServerBoundsDefaultStepCap(t *testing.T) {
 	t.Parallel()
 	s, _ := testServer(t, Config{Workers: 1, MaxSteps: 1 << 20})
 	big := scenario.Spec{Engine: scenario.EngineCoverage, Nodes: 1 << 16, Agents: 1, Seed: 1}
-	if _, err := s.Submit(big); err == nil {
+	if _, err := s.Submit(big, SubmitOptions{}); err == nil {
 		t.Error("spec with a huge derived default cap accepted")
 	}
 	// The same hole must stay closed at the DEFAULT MaxSteps: an enormous
 	// derived cap cannot clamp down onto the limit and slip past it.
 	sd, _ := testServer(t, Config{Workers: 1})
 	if _, err := sd.Submit(scenario.Spec{Engine: scenario.EngineCoverage,
-		Nodes: 1 << 24, Agents: 1, Seed: 1}); err == nil {
+		Nodes: 1 << 24, Agents: 1, Seed: 1}, SubmitOptions{}); err == nil {
 		t.Error("max-size grid with default step cap accepted on a default server")
 	}
 	big.MaxSteps = 1000
-	ticket, err := s.Submit(big)
+	ticket, err := s.Submit(big, SubmitOptions{})
 	if err != nil {
 		t.Fatalf("explicitly capped spec rejected: %v", err)
 	}
@@ -518,7 +518,7 @@ func ExampleServer() {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ticket, err := s.Submit(scenario.Spec{Engine: scenario.EngineBroadcast,
-		Nodes: 256, Agents: 8, Seed: 1})
+		Nodes: 256, Agents: 8, Seed: 1}, SubmitOptions{})
 	if err != nil {
 		panic(err)
 	}

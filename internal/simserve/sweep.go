@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"mobilenet/internal/scenario"
@@ -92,23 +91,14 @@ type SweepView struct {
 // coalesced onto an identical in-flight job, or executed on the worker
 // pool, exactly as if it had been POSTed individually. Repeated or
 // overlapping sweeps therefore deduplicate point by point.
-func (s *Server) SubmitSweep(sp sweep.Spec) (SweepTicket, error) {
-	return s.SubmitSweepWithRequestID(sp, "")
-}
-
-// SubmitSweepWithRequestID is SubmitSweep carrying the originating request
-// id; the dispatcher propagates it into every per-point job submission, so
-// the point jobs' traces all name the sweep's request.
-func (s *Server) SubmitSweepWithRequestID(sp sweep.Spec, requestID string) (SweepTicket, error) {
-	return s.SubmitSweepWithOptions(sp, SubmitOptions{RequestID: requestID})
-}
-
-// SubmitSweepWithOptions is SubmitSweep carrying the full execution
-// envelope. The client id keys every point job into the sweep owner's
-// fair-queue lane (a big sweep competes as one client, not as hundreds of
-// anonymous jobs), and the deadline applies per point job — bounding each
-// point's wall-clock, not the whole sweep's.
-func (s *Server) SubmitSweepWithOptions(sp sweep.Spec, opts SubmitOptions) (SweepTicket, error) {
+//
+// opts is the execution envelope every point job inherits: the request
+// id names the sweep's request in every point job's trace, the client id
+// keys every point job into the sweep owner's fair-queue lane (a big
+// sweep competes as one client, not as hundreds of anonymous jobs), and
+// the deadline applies per point job — bounding each point's wall-clock,
+// not the whole sweep's.
+func (s *Server) SubmitSweep(sp sweep.Spec, opts SubmitOptions) (SweepTicket, error) {
 	// Expansion, bounds checks and hashing are the sweep_expand stage of
 	// the lifecycle (the dispatcher's dedup pass lands there too).
 	t0 := time.Now()
@@ -159,11 +149,11 @@ func (s *Server) SubmitSweepWithOptions(sp sweep.Spec, opts SubmitOptions) (Swee
 	return SweepTicket{SweepID: j.id, Hash: hash, Status: StatusQueued, Points: len(points)}, nil
 }
 
-// runSweep dispatches a sweep's distinct points in index order, at most
-// Workers in flight, and finalises the job. Error semantics mirror the
-// sweep library's runPoints (and the experiment harness's runReps): the
-// first failure cancels the dispatch of further points, and the
-// lowest-indexed failed point's error becomes the sweep's error.
+// runSweep dispatches a sweep's distinct points on sweep.Each — in index
+// order, at most the executor's concurrency in flight — and finalises the
+// job. The first failure cancels the dispatch of further points and the
+// context of points still executing, and the lowest-indexed failed
+// point's error becomes the sweep's error.
 func (s *Server) runSweep(j *sweepJob) {
 	defer s.sweepWG.Done()
 
@@ -177,17 +167,14 @@ func (s *Server) runSweep(j *sweepJob) {
 	j.status = StatusRunning
 	s.mu.Unlock()
 
-	// ctx is cancelled by the first failure: it stops the dispatch of
-	// further points and reaches into executors mid-point.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	recordErr := func(u sweep.DistinctPoint, err error) {
+	// recordErr returns the error the pool should see: nil for a point
+	// abandoned (ctx cancelled) because another point already failed the
+	// sweep — that failure is the sweep's error, not this one.
+	recordErr := func(ctx context.Context, u sweep.DistinctPoint, err error) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		status := StatusFailed
 		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-			// Abandoned because another point already failed the sweep:
-			// that failure is the sweep's error, not this one.
 			status, err = StatusCancelled, nil
 		}
 		for _, idx := range u.Indices {
@@ -195,7 +182,7 @@ func (s *Server) runSweep(j *sweepJob) {
 			j.pointErr[idx] = err
 			j.done++
 		}
-		cancel()
+		return err
 	}
 	recordRunning := func(u sweep.DistinctPoint) {
 		s.mu.Lock()
@@ -224,49 +211,30 @@ func (s *Server) runSweep(j *sweepJob) {
 	// coordinator configured a remote executor. The dispatcher owns the
 	// in-flight bound and the progress/error accounting either way.
 	exec := s.executor()
-	sem := make(chan struct{}, s.executorConcurrency(exec))
-	var wg sync.WaitGroup
-	for _, u := range uniq {
-		if ctx.Err() != nil {
-			break
+	opts := SubmitOptions{RequestID: j.requestID, Client: j.client, Deadline: j.deadline}
+	err := sweep.Each(len(uniq), s.executorConcurrency(exec), func(ctx context.Context, ui int) error {
+		u := uniq[ui]
+		payload, cached, err := exec.ExecutePoint(u.Point, opts, PointProgress{
+			Ctx:     ctx,
+			Started: func() { recordRunning(u) },
+		})
+		if err != nil {
+			return recordErr(ctx, u, fmt.Errorf("simserve: sweep point %d: %w", u.Index, err))
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(u sweep.DistinctPoint) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			payload, cached, err := exec.ExecutePoint(u.Point, SubmitOptions{
-				RequestID: j.requestID, Client: j.client, Deadline: j.deadline,
-			}, PointProgress{
-				Ctx:     ctx,
-				Started: func() { recordRunning(u) },
-			})
-			if err != nil {
-				recordErr(u, fmt.Errorf("simserve: sweep point %d: %w", u.Index, err))
-				return
-			}
-			recordPayload(u, payload, cached)
-		}(u)
-	}
-	wg.Wait()
-	s.finishSweep(j)
+		recordPayload(u, payload, cached)
+		return nil
+	})
+	s.finishSweep(j, err)
 }
 
-// finishSweep assembles the sweep result (or its failure) and finalises
-// the job record.
-func (s *Server) finishSweep(j *sweepJob) {
-	s.mu.Lock()
+// finishSweep assembles the sweep result (or the dispatch failure err)
+// and finalises the job record.
+func (s *Server) finishSweep(j *sweepJob, err error) {
 	var errMsg string
-	for _, e := range j.pointErr { // point order: first hit is the lowest index
-		if e != nil {
-			errMsg = e.Error()
-			break
-		}
+	if err != nil {
+		errMsg = err.Error()
 	}
-	if errMsg == "" && j.done < len(j.points) {
-		// Defensive: cannot happen — dispatch only stops early on failure.
-		errMsg = fmt.Sprintf("simserve: sweep finished with %d of %d points", j.done, len(j.points))
-	}
+	s.mu.Lock()
 	payloads := j.payloads
 	s.mu.Unlock()
 

@@ -340,7 +340,7 @@ func TestSweepShutdownRejectsNewSweeps(t *testing.T) {
 	if v.Status != StatusDone && v.Status != StatusFailed {
 		t.Errorf("sweep left in state %s after shutdown", v.Status)
 	}
-	if _, err := s.SubmitSweep(testSweepSpec()); err == nil {
+	if _, err := s.SubmitSweep(testSweepSpec(), SubmitOptions{}); err == nil {
 		t.Error("sweep accepted after shutdown")
 	}
 }

@@ -163,7 +163,7 @@ func TestServerRestartServesFromStore(t *testing.T) {
 
 	st := testStore(t, dir)
 	s1 := New(Config{Workers: 2, Store: st})
-	ticket, err := s1.Submit(spec)
+	ticket, err := s1.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestServerRestartServesFromStore(t *testing.T) {
 	// "Restart": a fresh server over a fresh LRU, same store directory.
 	s2 := New(Config{Workers: 2, Store: testStore(t, dir)})
 	defer s2.Shutdown(context.Background())
-	ticket2, err := s2.Submit(spec)
+	ticket2, err := s2.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSeriesSpillsToStore(t *testing.T) {
 		Observe: &obs.Spec{Observables: []string{obs.Informed}}}
 
 	s1 := New(Config{Workers: 2, Store: testStore(t, dir)})
-	ticket, err := s1.Submit(spec)
+	ticket, err := s1.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

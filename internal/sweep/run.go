@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -17,9 +18,9 @@ type Options struct {
 	// parallelism layer), mirroring the simulation service.
 	Workers int
 	// RunPoint overrides how one canonical point spec is executed; nil
-	// selects the scenario.Runner registry via scenario.Run. The
-	// simulation service uses this seam to route points through its
-	// hash-keyed result cache.
+	// selects the scenario.Runner registry via scenario.Run. It is the
+	// failure-injection seam for tests; the simulation service runs its
+	// points through its own dispatcher, not through Run.
 	RunPoint func(spec scenario.Spec) (*scenario.Result, error)
 	// RequireCompleted turns a replicate that hit its step cap into a
 	// point error. The scaling-law experiments set it: a capped T_B is
@@ -208,10 +209,9 @@ func fitPoints(sp Spec, points []PointResult) (*Fit, error) {
 // Run expands the sweep and executes every distinct point on a bounded
 // worker pool, sharing one execution between points that canonicalise to
 // the same scenario (the in-process analogue of the service's hash-keyed
-// dedup). Error semantics match the experiment harness's runReps: the
-// first failure cancels the dispatch of further points (points already
-// executing finish their run) and the error of the lowest-indexed failed
-// point is returned.
+// dedup). Error semantics are Each's: the first failure cancels the
+// dispatch of further points (points already executing finish their run)
+// and the error of the lowest-indexed failed point is returned.
 func Run(sp Spec, opt Options) (*Result, error) {
 	points, err := sp.Expand()
 	if err != nil {
@@ -237,17 +237,12 @@ func runPoints(points []Point, opt Options) ([]*scenario.Result, error) {
 		}
 	}
 	uniq := Distinct(points)
-
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
 	results := make([]*scenario.Result, len(points))
-	errs := make([]error, len(uniq))
-	exec := func(ui int) error {
+	err := Each(len(uniq), workers, func(_ context.Context, ui int) error {
 		u := uniq[ui]
 		res, err := runPoint(u.Spec)
 		if err != nil {
@@ -263,54 +258,67 @@ func runPoints(points []Point, opt Options) ([]*scenario.Result, error) {
 			opt.OnPoint(u.Point, res)
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return results, nil
+}
 
+// Each calls fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines, dispatching in index order — the one bounded pool behind
+// sweep points here, experiment replicates and the simulation service's
+// sweep dispatcher. The first failure stops dispatch and cancels the ctx
+// handed to calls still running; a goroutine whose call failed takes no
+// more work. workers <= 1 runs a plain loop that stops at the first
+// failure. Each returns the error of the lowest-indexed failed call.
+func Each(n, workers int, fn func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if workers > n {
+		workers = n
+	}
 	if workers <= 1 {
-		for ui := range uniq {
-			if err := exec(ui); err != nil {
-				return nil, err
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
 			}
 		}
-		return results, nil
+		return nil
 	}
-
 	var (
 		wg   sync.WaitGroup
 		next = make(chan int)
-		done = make(chan struct{})
-		once sync.Once
+		errs = make([]error, n)
 	)
-	fail := func() { once.Do(func() { close(done) }) }
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ui := range next {
-				if errs[ui] = exec(ui); errs[ui] != nil {
-					fail()
+			for i := range next {
+				if errs[i] = fn(ctx, i); errs[i] != nil {
+					cancel()
 					return
 				}
 			}
 		}()
 	}
 dispatch:
-	for ui := range uniq {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
-		case next <- ui:
-		case <-done:
+		case next <- i:
+		case <-ctx.Done():
 			break dispatch
 		}
 	}
 	close(next)
 	wg.Wait()
-	// uniq is ordered by first point index, so the first recorded error
-	// is the lowest-indexed point's.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // Table renders the sweep as a rectangular table: one row per point, the
