@@ -13,13 +13,20 @@
 //	p.Lap(prof.Move)
 //
 // compiles to a branch-and-skip when no profile is attached. An enabled
-// StepProfile performs exactly one monotonic clock read per Lap and
-// accumulates into a fixed-size array — no maps, no allocation — so the
-// engines' zero-alloc steady-state invariants hold with profiling on as
-// well as off.
+// StepProfile is cheap enough to leave on: it times every step's total, but
+// splits it into phases from a deterministic sample of about one step in
+// sixteen. On a sampled step each Mark and Lap is one monotonic clock read;
+// on any other step Lap is a branch, and so is Mark once steps prove short
+// enough (a few microseconds) that a clock read would cost a visible share
+// of them. Accumulation is into fixed-size arrays — no maps, no allocation —
+// so the engines' zero-alloc steady-state invariants hold with profiling on
+// as well as off.
 package prof
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // Phase identifies one slice of an engine step in the fixed vocabulary
 // shared by every engine. Not every engine exercises every phase (pure
@@ -69,48 +76,148 @@ func PhaseNames() []string {
 }
 
 // StepProfile accumulates per-phase wall-clock time across the steps of one
-// replicate. The accumulator is a fixed-size array, so steady-state use
-// allocates nothing; all methods are no-ops on a nil receiver, so engines
-// thread a possibly-nil *StepProfile unconditionally.
+// replicate. The accumulators are fixed-size, so steady-state use allocates
+// nothing; all methods are no-ops on a nil receiver, so engines thread a
+// possibly-nil *StepProfile unconditionally.
 //
-// Usage inside a step loop: call Mark once at the top of the step, then Lap
-// after each phase completes. Lap charges the time since the previous Mark
-// or Lap to the given phase with a single clock read, so consecutive laps
-// tile the step exactly. A StepProfile is not safe for concurrent use; each
+// Usage inside a step loop: call Mark once at the top of the step, Lap after
+// each phase completes, and StepDone at the end. Phases are timed only on
+// sampled steps (see sampled): there Mark and each Lap read the clock once,
+// so consecutive laps tile the step. On an unsampled step Lap does nothing.
+//
+// The total is timed on every step, and the sampled laps split it. How the
+// total is timed depends on the step length, measured as the profile runs:
+//
+//   - Long steps (shortStep or more) are bracketed: Mark and StepDone both
+//     read the clock, and whatever runs between steps stays out of the total.
+//   - Short steps are tiled: an unsampled step's Mark does nothing, and the
+//     total runs from one clock read to the next, so it covers the loop's
+//     glue between steps as well. StepDone reads the clock only on every
+//     spanEvery-th step, so up to spanEvery-1 trailing steps go uncounted.
+//
+// PhaseTotal apportions the total by the phase's share of the sampled laps,
+// and Total is the sum of the PhaseTotals, so phases always add up to the
+// total exactly. A StepProfile is not safe for concurrent use; each
 // replicate owns its own.
 type StepProfile struct {
-	totals [NumPhases]time.Duration
+	laps   [NumPhases]time.Duration // lap sums over sampled steps only
+	span   time.Duration            // timed total over all steps
 	steps  int
-	mark   time.Time
+	skip   bool          // the current step is unsampled: Lap does nothing
+	short  bool          // steps are short: an unsampled step's Mark does nothing
+	anchor time.Time     // first clock read; offsets below count from it
+	at     time.Duration // offset of the latest clock read
+	stepAt time.Duration // offset of the latest step-boundary read
+	stepN  int           // steps counted at that read
 }
+
+// sampleMul is 2^64 divided by the golden ratio, rounded to odd. Multiplying
+// a step index by it and keeping the top sampleBits bits walks the unit
+// interval in the low-discrepancy Weyl sequence s/φ mod 1, which has no
+// period: every residue class mod any small P gets its share of samples.
+// A stride rule (s mod 2^j) would not: it aliases with engine work that
+// recurs every few steps, such as the incremental labeller's rescans.
+const (
+	sampleMul  = 0x9E3779B97F4A7C15
+	sampleBits = 4
+)
+
+// shortStep is the step length below which a clock read costs a visible
+// share of the step (a read is ~40 ns), so unsampled steps stop bracketing.
+// spanEvery is how often, in steps, StepDone reads the clock on short
+// unsampled steps, bounding the uncounted tail of a run.
+const (
+	shortStep = 16 * time.Microsecond
+	spanEvery = 8
+)
+
+// sampled reports whether a profile times the phases of step s (0-based):
+// about one step in 2^sampleBits, always including step 0 and the time-0
+// region before it.
+func sampled(s uint64) bool { return s*sampleMul>>(64-sampleBits) == 0 }
 
 // Mark records the current instant as the start of the next phase. Call it
 // at the top of each step (and after any work that should not be charged to
-// a phase). No-op on a nil receiver.
+// a phase). No-op on a nil receiver or a short unsampled step.
 func (p *StepProfile) Mark() {
-	if p == nil {
+	if p == nil || p.skip && p.short {
 		return
 	}
-	p.mark = time.Now()
+	p.mark()
 }
 
 // Lap charges the time elapsed since the last Mark or Lap to the given
-// phase and re-marks, using one clock read. No-op on a nil receiver.
+// phase and re-marks, using one clock read. No-op on a nil receiver or an
+// unsampled step.
 func (p *StepProfile) Lap(ph Phase) {
-	if p == nil {
+	if p == nil || p.skip {
 		return
 	}
-	now := time.Now()
-	p.totals[ph] += now.Sub(p.mark)
-	p.mark = now
+	p.lap(ph)
 }
 
-// StepDone counts one completed step. No-op on a nil receiver.
+// StepDone counts one completed step and decides whether the next step is
+// sampled. No-op on a nil receiver.
 func (p *StepProfile) StepDone() {
 	if p == nil {
 		return
 	}
+	p.stepDone()
+}
+
+// now returns the offset of the current instant from the anchor, taking the
+// anchor on the first call. Offsets use time.Since, which reads only the
+// monotonic clock, where time.Now reads the wall clock as well.
+func (p *StepProfile) now() time.Duration {
+	if p.anchor.IsZero() {
+		p.anchor = time.Now()
+		return 0
+	}
+	return time.Since(p.anchor)
+}
+
+// mark and lap are the clock-reading bodies of Mark and Lap. They stay out
+// of line so that Mark and Lap themselves, a branch and a call, inline into
+// the engines' step loops.
+//
+//go:noinline
+func (p *StepProfile) mark() {
+	t := p.now()
+	if p.short {
+		// Short steps run back to back: the time since the last read is
+		// the previous steps' work, tiled into the total.
+		p.span += t - p.at
+	} else {
+		// A long step is bracketed: what ran since the last read happened
+		// between steps and stays out of the total.
+		p.stepAt, p.stepN = t, p.steps
+	}
+	p.at = t
+}
+
+//go:noinline
+func (p *StepProfile) lap(ph Phase) {
+	t := p.now()
+	d := t - p.at
+	p.laps[ph] += d
+	p.span += d
+	p.at = t
+}
+
+// stepDone is the body of StepDone. Unless the step was short and unsampled
+// and is not a spanEvery-th step, it reads the clock, extends the total to
+// that read, and re-measures the step length over the steps since the last
+// step-boundary read.
+func (p *StepProfile) stepDone() {
 	p.steps++
+	if !(p.skip && p.short) || p.steps%spanEvery == 0 {
+		t := p.now()
+		p.span += t - p.at
+		p.at = t
+		p.short = t-p.stepAt < shortStep*time.Duration(p.steps-p.stepN)
+		p.stepAt, p.stepN = t, p.steps
+	}
+	p.skip = !sampled(uint64(p.steps))
 }
 
 // Reset clears all accumulated totals and the step count for reuse across
@@ -119,12 +226,11 @@ func (p *StepProfile) Reset() {
 	if p == nil {
 		return
 	}
-	p.totals = [NumPhases]time.Duration{}
-	p.steps = 0
-	p.mark = time.Time{}
+	*p = StepProfile{}
 }
 
-// Steps returns the number of completed steps counted so far (0 on nil).
+// Steps returns the number of completed steps counted so far, sampled or
+// not (0 on nil).
 func (p *StepProfile) Steps() int {
 	if p == nil {
 		return 0
@@ -132,22 +238,31 @@ func (p *StepProfile) Steps() int {
 	return p.steps
 }
 
-// PhaseTotal returns the accumulated duration of one phase (0 on nil).
+// PhaseTotal returns one phase's estimated share of the timed total: the
+// total times the phase's fraction of the sampled laps (0 on nil).
 func (p *StepProfile) PhaseTotal(ph Phase) time.Duration {
 	if p == nil || ph >= NumPhases {
 		return 0
 	}
-	return p.totals[ph]
-}
-
-// Total returns the sum of all phase totals (0 on nil).
-func (p *StepProfile) Total() time.Duration {
-	if p == nil {
+	var sum time.Duration
+	for _, d := range p.laps {
+		sum += d
+	}
+	if sum <= 0 {
 		return 0
 	}
+	// span*laps/sum in 128 bits; laps <= sum keeps the quotient in range.
+	hi, lo := bits.Mul64(uint64(p.span), uint64(p.laps[ph]))
+	q, _ := bits.Div64(hi, lo, uint64(sum))
+	return time.Duration(q)
+}
+
+// Total returns the sum of all phase totals: the timed total, less at most a
+// nanosecond per phase of rounding (0 on nil).
+func (p *StepProfile) Total() time.Duration {
 	var t time.Duration
-	for _, d := range p.totals {
-		t += d
+	for ph := Phase(0); ph < NumPhases; ph++ {
+		t += p.PhaseTotal(ph)
 	}
 	return t
 }
@@ -170,7 +285,7 @@ func (p *StepProfile) Breakdown() *Breakdown {
 		Fractions: make(map[string]float64, int(NumPhases)),
 	}
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		d := p.totals[ph]
+		d := p.PhaseTotal(ph)
 		if d <= 0 {
 			continue
 		}

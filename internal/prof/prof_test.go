@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -141,5 +142,153 @@ func TestMergeBreakdowns(t *testing.T) {
 	}
 	if got := m.Fractions["move"]; math.Abs(got-3.0/8.0) > 1e-12 {
 		t.Errorf("merged Fractions[move] = %v, want %v", got, 3.0/8.0)
+	}
+}
+
+// maxAliasDev bounds how far any residue class's sampled share may stray
+// from the overall sampling rate, relative to it. The golden-ratio rule's
+// worst class over periods 2..64 and 2^16 steps is 28% off (period 61);
+// a stride rule s%P puts every sample in one class, P-1 times over.
+const maxAliasDev = 1.0 / 3
+
+// aliasing checks a sampling rule over the first 2^16 steps: for every
+// period P in 2..64, each residue class mod P must hold its share of the
+// sampled steps within maxAliasDev. It returns the first class that does
+// not, or "" when none strays.
+func aliasing(rule func(uint64) bool) string {
+	const steps = 1 << 16
+	var total int
+	for s := uint64(0); s < steps; s++ {
+		if rule(s) {
+			total++
+		}
+	}
+	rate := float64(total) / steps
+	for p := uint64(2); p <= 64; p++ {
+		for r := uint64(0); r < p; r++ {
+			var size, hit int
+			for s := r; s < steps; s += p {
+				size++
+				if rule(s) {
+					hit++
+				}
+			}
+			want := rate * float64(size)
+			if math.Abs(float64(hit)-want) > maxAliasDev*want {
+				return fmt.Sprintf("class %d mod %d holds %d sampled steps, want %.1f", r, p, hit, want)
+			}
+		}
+	}
+	return ""
+}
+
+// TestSamplingDoesNotAlias pins the sampling rule without reading a clock:
+// step 0 is always sampled, about one step in sixteen is, and no periodic
+// engine cadence (the incremental labeller's rescans, an observer's every:N)
+// can line up with the sample. The checker itself must reject the stride
+// rules it exists to forbid.
+func TestSamplingDoesNotAlias(t *testing.T) {
+	if !sampled(0) {
+		t.Fatal("step 0 is not sampled")
+	}
+	var n int
+	for s := uint64(0); s < 1<<16; s++ {
+		if sampled(s) {
+			n++
+		}
+	}
+	if rate := float64(n) / (1 << 16); rate < 1.0/20 || rate > 1.0/12 {
+		t.Errorf("sampling rate %.4f, want about 1/16", rate)
+	}
+	if msg := aliasing(sampled); msg != "" {
+		t.Errorf("sampling rule aliases: %s", msg)
+	}
+	for _, stride := range []uint64{8, 16} {
+		if aliasing(func(s uint64) bool { return s%stride == 0 }) == "" {
+			t.Errorf("checker accepts the stride rule s%%%d==0", stride)
+		}
+	}
+}
+
+// TestUnsampledStepsCountInTheTotal pins the estimator: an unsampled step's
+// laps are not timed, but its time still enters the total, which the
+// sampled laps then apportion.
+func TestUnsampledStepsCountInTheTotal(t *testing.T) {
+	if sampled(1) {
+		t.Fatal("test assumes step 1 is unsampled")
+	}
+	p := new(StepProfile)
+	p.Mark()
+	spin()
+	p.Lap(Move)
+	p.StepDone()
+	p.Mark()
+	spin()
+	p.Lap(Index)
+	p.StepDone()
+	if p.Steps() != 2 {
+		t.Fatalf("Steps() = %d, want 2", p.Steps())
+	}
+	if d := p.PhaseTotal(Index); d != 0 {
+		t.Fatalf("unsampled step charged %v to index", d)
+	}
+	if p.PhaseTotal(Move) != p.Total() {
+		t.Fatalf("move %v != Total() %v: the only sampled phase must own the total", p.PhaseTotal(Move), p.Total())
+	}
+	if p.Total() < 100*time.Microsecond {
+		t.Fatalf("Total() %v does not cover both 50µs steps", p.Total())
+	}
+}
+
+// TestLongStepsExcludeGaps pins the bracketing of long steps: work a caller
+// runs between two steps (another engine, a trace write) is not charged to
+// any phase, sampled step or not.
+func TestLongStepsExcludeGaps(t *testing.T) {
+	const gap = 500 * time.Microsecond
+	p := new(StepProfile)
+	t0 := time.Now()
+	for step := 0; step < 4; step++ {
+		p.Mark()
+		spin()
+		p.Lap(Move)
+		p.StepDone()
+		g0 := time.Now()
+		for time.Since(g0) < gap {
+		}
+	}
+	elapsed := time.Since(t0)
+	if p.Total() < 4*50*time.Microsecond {
+		t.Fatalf("Total() %v does not cover four 50µs steps", p.Total())
+	}
+	if limit := elapsed - 4*gap + gap/2; p.Total() > limit {
+		t.Fatalf("Total() %v charges the gaps between steps (elapsed %v, gaps %v)", p.Total(), elapsed, 4*gap)
+	}
+}
+
+// TestShortStepsTileTheLoop pins the cheap path: once steps prove short,
+// the total tiles the loop from the first Mark, counting every step but up
+// to spanEvery-1 trailing ones, and never exceeds the loop's wall clock.
+func TestShortStepsTileTheLoop(t *testing.T) {
+	const steps = 1000
+	p := new(StepProfile)
+	t0 := time.Now()
+	for step := 0; step < steps; step++ {
+		p.Mark()
+		p.Lap(Move)
+		p.Lap(Spread)
+		p.StepDone()
+	}
+	elapsed := time.Since(t0)
+	if !p.short {
+		t.Fatal("empty steps did not switch the profile to short steps")
+	}
+	if p.Steps() != steps {
+		t.Fatalf("Steps() = %d, want %d", p.Steps(), steps)
+	}
+	if p.Total() <= 0 || p.Total() > elapsed {
+		t.Fatalf("Total() %v outside (0, %v]", p.Total(), elapsed)
+	}
+	if p.PhaseTotal(Move) <= 0 || p.PhaseTotal(Spread) <= 0 {
+		t.Fatalf("sampled phases were not apportioned: move %v spread %v", p.PhaseTotal(Move), p.PhaseTotal(Spread))
 	}
 }

@@ -23,9 +23,8 @@ func profileSpec(engine string) Spec {
 // TestPhaseSumsMatchStepWallClock is the profiler's accounting contract,
 // checked across all six engines: under Spec.Profile every replicate reports
 // a phase breakdown whose fractions sum to one and whose total seconds sit
-// inside the measured RunRep wall-clock — at most the whole call, at least a
-// visible share of it (laps tile the step loop, so only setup and loop
-// overhead go uncharged).
+// inside the measured RunRep wall-clock — at most the whole call, at least
+// most of it (every step is charged, so only setup goes uncharged).
 func TestPhaseSumsMatchStepWallClock(t *testing.T) {
 	for _, engine := range Engines() {
 		engine := engine
@@ -65,16 +64,22 @@ func TestPhaseSumsMatchStepWallClock(t *testing.T) {
 				t.Errorf("fractions sum to %v, want 1 ± 0.001 (%v)", fsum, b.Fractions)
 			}
 			total := b.TotalSeconds()
+			t.Logf("phase total / RunRep wall = %.3f over %d steps, wall %.1fµs", total/wall, b.Steps, wall*1e6)
 			// Upper bound: charged time cannot exceed the whole RunRep call
 			// (epsilon absorbs float rounding only — the clock reads nest).
 			if total > wall*1.001+1e-6 {
 				t.Errorf("phase total %.6fs exceeds RunRep wall-clock %.6fs", total, wall)
 			}
-			// Lower bound: the step loop dominates a 256-step run, so the
-			// charged share must be a visible fraction of the wall-clock.
-			// Generous (5%) to stay robust on loaded CI machines.
-			if total < wall*0.05 {
-				t.Errorf("phase total %.6fs is under 5%% of wall-clock %.6fs — laps are not tiling the loop", total, wall)
+			// Lower bound: the charged total counts every step, so only
+			// setup, and at most a few trailing steps, go uncharged.
+			// Measured medians are 0.94–0.99 per engine and the minima
+			// 0.90–0.99 over 40 runs, half under a concurrent test load;
+			// the floor leaves room for a loaded CI machine. The meeting
+			// replicate is ~40µs end to end, where one GC or preemption
+			// during setup is a large share (it read 0.31 once), hence its
+			// lower floor.
+			if floor := spanFloor(engine); total < wall*floor {
+				t.Errorf("phase total %.6fs is under %.0f%% of wall-clock %.6fs — steps are going uncharged", total, floor*100, wall)
 			}
 			for name := range b.Seconds {
 				if !validPhaseName(name) {
@@ -83,6 +88,15 @@ func TestPhaseSumsMatchStepWallClock(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spanFloor is the least share of a profileSpec replicate's RunRep wall
+// clock that its phase total must cover.
+func spanFloor(engine string) float64 {
+	if engine == EngineMeeting {
+		return 0.1
+	}
+	return 0.5
 }
 
 func validPhaseName(name string) bool {

@@ -128,7 +128,7 @@ type Spec struct {
 	// each replicate's Rep carries a phases breakdown (move, index, label,
 	// spread, observe) and the Result aggregates them. Like Parallelism it
 	// is an execution-only knob — simulation outcomes are identical either
-	// way, profiling adds only a few clock reads per step, and the measured
+	// way, profiling costs a few percent of a small replicate, and the measured
 	// timings are non-deterministic — so canonicalisation zeroes it and it
 	// never splits the content hash. The simulation service strips the
 	// per-rep breakdowns before assembly (feeding them to telemetry and

@@ -587,10 +587,12 @@ func (s *Server) worker() {
 			// stacking labeller goroutines on top of busy workers.
 			spec := t.job.spec
 			spec.Parallelism = 1
-			// The service always profiles: phase breakdowns cost a few
-			// clock reads per step and feed the engine-phase histograms
-			// and the job trace. Like Parallelism this is execution-only —
-			// canonicalisation zeroed it, so it never splits the cache.
+			// The service always profiles: the profile times the step
+			// loop whole and splits it by phase from about one step in
+			// sixteen, so it costs a few percent of a small replicate
+			// and feeds the engine-phase histograms and the job trace.
+			// Like Parallelism this is execution-only — canonicalisation
+			// zeroed it, so it never splits the cache.
 			spec.Profile = true
 			// The engines poll this context at their amortized check
 			// interval; slow-step chaos rides the same poll points as a

@@ -203,6 +203,19 @@ func (s *Store) path(key string) string {
 // crc32c uint32, payload.
 const fixedHeader = 4 + 2 + 8 + 4
 
+// frameHeader returns the header that precedes payload in key's entry
+// file: magic, key length, key, payload length and checksum.
+func frameHeader(key string, payload []byte) []byte {
+	header := make([]byte, fixedHeader+len(key))
+	copy(header[:4], magic[:])
+	binary.LittleEndian.PutUint16(header[4:6], uint16(len(key)))
+	copy(header[6:], key)
+	off := 6 + len(key)
+	binary.LittleEndian.PutUint64(header[off:off+8], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(header[off+8:off+12], crc32.Checksum(payload, castagnoli))
+	return header
+}
+
 // readHeader opens an entry file and parses its frame without reading the
 // payload, returning the framed key and payload size. The on-disk size
 // must match the framed length exactly — a truncated (torn) file fails
@@ -362,14 +375,7 @@ func (s *Store) commit(key string, payload []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmp := f.Name()
-	header := make([]byte, fixedHeader+len(key))
-	copy(header[:4], magic[:])
-	binary.LittleEndian.PutUint16(header[4:6], uint16(len(key)))
-	copy(header[6:], key)
-	off := 6 + len(key)
-	binary.LittleEndian.PutUint64(header[off:off+8], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[off+8:off+12], crc32.Checksum(payload, castagnoli))
-	_, err = f.Write(header)
+	_, err = f.Write(frameHeader(key, payload))
 	if err == nil {
 		_, err = f.Write(payload)
 	}
