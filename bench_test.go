@@ -176,8 +176,8 @@ func BenchmarkMobilityModels(b *testing.B) {
 // worker pool at GOMAXPROCS workers (the daemon's default sizing): "cold"
 // submits distinct scenarios that all have to run, "cached" replays one
 // scenario so every submission is answered from the LRU cache. The cold/
-// cached gap is the value of content-hash caching; BENCH_service.json
-// records the baseline so later PRs have a perf trajectory.
+// cached gap is the value of content-hash caching. DESIGN.md §11 quotes
+// its history; perfbench's service_cold workload is the tracked metric.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	spec := func(seed uint64) scenario.Spec {
 		return scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: 1024, Agents: 16, Seed: seed}

@@ -1,70 +1,40 @@
 // Command mobibench is a closed-loop load generator for the simulation
-// service: it drives a real mobiserved — an in-process instance by
-// default, or any running daemon via -addr — with a configurable number
-// of concurrent clients for a fixed duration per workload, measures
-// end-to-end request latency client-side on internal/telemetry histograms
-// (p50/p90/p99), reads the server's own request-lifecycle stage
-// histograms back off /metrics (queue wait, per-replicate execution, …)
-// for the same window, and writes the whole baseline into
-// BENCH_load.json — the standing traffic baseline every later scaling PR
-// must beat.
+// service: -c clients drive a real mobiserved (in-process by default, or
+// the daemon at -addr) for -d per workload, each submitting, waiting for
+// the result and submitting again. It prints client-side latency
+// quantiles and saturation throughput per workload and exits non-zero on
+// any client-visible error. It is the service's smoke, fault-injection
+// and fleet driver; performance is measured with perfbench
+// (bash perfbench/run.sh --workload … --trace 1).
 //
-// Workloads (run as separate phases, so each gets its own quantiles):
+// Workloads, run as separate phases:
 //
-//	cold    unique-seed broadcast scenarios; every request executes a
-//	        full simulation (cache miss by construction)
-//	cached  one fixed scenario submitted repeatedly; after warm-up every
-//	        request is answered from the hash-keyed result cache
-//	sweep   small two-point sweeps with unique base seeds, polled to
-//	        completion through /v1/sweeps
+//	cold    unique-seed broadcast scenarios (every request simulates)
+//	cached  one fixed scenario resubmitted (answered from the result cache)
+//	sweep   two-point sweeps with unique base seeds, polled via /v1/sweeps
 //	series  NDJSON series fetches of a pre-warmed observed scenario
-//	chaos   opt-in: cold-style submissions retried with capped
-//	        exponential backoff + jitter against a fault-injecting
-//	        server (-chaos, or an external daemon started with one)
-//	store   opt-in: resubmissions of a pre-warmed spec set against a
-//	        server whose LRU is too small to hold it, so nearly every
-//	        hit is served through the disk result store (internal/store);
-//	        boots its own store-armed in-process server unless -addr
-//	        names a daemon started with -store
-//	fleet   opt-in: unique-seed sweeps against a coordinator that shards
-//	        points across workers by rendezvous hash (internal/cluster);
-//	        boots its own two-worker in-process fleet unless -addr names
-//	        a daemon started with -coordinator
+//	chaos   opt-in: cold-style runs retried with capped exponential
+//	        backoff + jitter, against a daemon started with -chaos
+//	fleet   opt-in: unique-seed sweeps against a coordinator; boots a
+//	        two-worker in-process fleet unless -addr names one
 //
-// -store-bench switches to the disk-store baseline recorder instead of the
-// workload phases: it measures the same point's end-to-end latency cold
-// (full simulation), LRU-warm (memory hit) and disk-warm (store hit after
-// a restart empties the LRU), plus fleet sweep throughput at 1, 2 and 4
-// workers, and writes BENCH_store.json — the standing baseline for the
-// distributed execution tier.
-//
-// The loop is closed: each client submits, waits for the result, then
-// submits again — so the reported throughput at concurrency -c is the
-// service's saturation throughput at that offered concurrency, and
-// latency includes queueing exactly as a real caller sees it.
+// Each scenario request is one blocking POST /v1/run?wait= through
+// cluster.Client, the coordinator's own worker client. -trace-out writes
+// one span per request (capped per phase) as validated Chrome trace-event
+// JSON, loadable in Perfetto (ui.perfetto.dev).
 //
 // Usage:
 //
-//	go run ./cmd/mobibench -c 8 -d 3s -out BENCH_load.json
-//	go run ./cmd/mobibench -addr http://localhost:8080 -workloads cold,cached
-//	go run ./cmd/mobibench -smoke          # CI: seconds, schema-validated, no file written
-//	go run ./cmd/mobibench -smoke -trace-out bench-trace.json   # plus a Perfetto-loadable trace
-//	go run ./cmd/mobibench -smoke -workloads chaos -chaos 'worker-panic:0.05'   # retry-path smoke
-//	go run ./cmd/mobibench -smoke -workloads store,fleet        # distributed-tier smoke
-//	go run ./cmd/mobibench -store-bench -out BENCH_store.json   # disk-store + fleet baseline
-//
-// -trace-out additionally records a client-side execution trace — one span
-// per request on a lane per (workload, client), capped per phase so long
-// runs stay loadable — validates it as Chrome trace-event JSON, and writes
-// it to the given file. Load it in Perfetto (ui.perfetto.dev) or
-// chrome://tracing to see the closed loop's request pacing.
+//	go run ./cmd/mobibench -c 8 -d 3s -addr localhost:8080 -workloads cold,cached
+//	go run ./cmd/mobibench -smoke -trace-out bench-trace.json   # CI load smoke
+//	go run ./cmd/mobibench -smoke -addr localhost:8080 -workloads chaos
+//	go run ./cmd/mobibench -smoke -workloads fleet
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,17 +42,18 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mobilenet/internal/chaos"
 	"mobilenet/internal/cluster"
+	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
+	"mobilenet/internal/scenario"
 	"mobilenet/internal/simserve"
-	"mobilenet/internal/store"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/telemetry"
 )
 
@@ -95,89 +66,46 @@ func main() {
 
 // benchConfig is the parsed flag set.
 type benchConfig struct {
-	addr       string // base URL of a running mobiserved; "" = in-process
-	conc       int
-	duration   time.Duration
-	workloads  []string
-	nodes      int
-	agents     int
-	out        string // "-" = stdout; "" = validate only
-	traceOut   string // "" = no trace export
-	smoke      bool
-	storeBench bool    // record the BENCH_store.json baseline instead of workload phases
-	chaosSpec  string  // fault-injection spec for the in-process server
-	rateLimit  float64 // per-client rate limit for the in-process server
+	addr                string // host:port or base URL of a running mobiserved; "" = in-process
+	conc, nodes, agents int
+	duration            time.Duration
+	workloads           []string
+	traceOut            string
 }
 
-// knownWorkloads in report order. chaos, store and fleet are opt-in (not
-// part of defaultWorkloads): chaos expects a fault-injecting server and
-// measures the retry path; store and fleet boot their own store-armed or
-// sharded backends — all three would only muddy the standing baseline.
-var knownWorkloads = []string{"cold", "cached", "sweep", "series", "chaos", "store", "fleet"}
+// knownWorkloads in report order. chaos (which needs a fault-injecting
+// daemon) and fleet (which boots its own sharded backend) are opt-in.
+var knownWorkloads = []string{"cold", "cached", "sweep", "series", "chaos", "fleet"}
 
 // defaultWorkloads are the phases a plain run benches.
 var defaultWorkloads = []string{"cold", "cached", "sweep", "series"}
 
-// normalizeAddr turns a bare host:port into a base URL, so
-// `-addr localhost:8080` and `-addr http://localhost:8080` both work.
-func normalizeAddr(addr string) string {
-	if addr == "" || strings.Contains(addr, "://") {
-		return addr
-	}
-	return "http://" + addr
-}
-
 func run(args []string, out io.Writer) error {
+	var cfg benchConfig
 	fs := flag.NewFlagSet("mobibench", flag.ContinueOnError)
-	var (
-		addr      = fs.String("addr", "", "host:port or base URL of a running mobiserved (default: start one in-process)")
-		conc      = fs.Int("c", 8, "concurrent closed-loop clients per workload")
-		duration  = fs.Duration("d", 3*time.Second, "measured duration per workload phase")
-		workloads = fs.String("workloads", strings.Join(defaultWorkloads, ","), "comma-separated workload phases to run (chaos is opt-in)")
-		nodes     = fs.Int("nodes", 256, "grid nodes of the probe scenario")
-		agents    = fs.Int("agents", 8, "agents of the probe scenario")
-		outPath   = fs.String("out", "BENCH_load.json", "baseline file to write ('-' = stdout)")
-		traceOut  = fs.String("trace-out", "", "export a client-side bench trace (Chrome trace-event JSON, validated before writing) to this file")
-		smoke     = fs.Bool("smoke", false, "CI smoke mode: short phases, validate the report schema, write no baseline (honours -addr)")
-		storeB    = fs.Bool("store-bench", false, "record the disk-store + fleet baseline (BENCH_store.json) instead of the workload phases")
-		chaosSpec = fs.String("chaos", "", "arm the in-process server with this fault-injection spec (see internal/chaos; ignored with -addr)")
-		rateLim   = fs.Float64("rate-limit", 0, "per-client rate limit for the in-process server (ignored with -addr)")
-	)
+	fs.StringVar(&cfg.addr, "addr", "", "host:port or base URL of a running mobiserved (default: start one in-process)")
+	fs.IntVar(&cfg.conc, "c", 8, "concurrent closed-loop clients per workload")
+	fs.DurationVar(&cfg.duration, "d", 3*time.Second, "measured duration per workload phase")
+	workloads := fs.String("workloads", strings.Join(defaultWorkloads, ","), "comma-separated workload phases to run (chaos and fleet are opt-in)")
+	fs.IntVar(&cfg.nodes, "nodes", 256, "grid nodes of the probe scenario")
+	fs.IntVar(&cfg.agents, "agents", 8, "agents of the probe scenario")
+	fs.StringVar(&cfg.traceOut, "trace-out", "", "export a client-side bench trace (Chrome trace-event JSON, validated before writing) to this file")
+	smoke := fs.Bool("smoke", false, "CI smoke mode: 4 clients for 250ms per workload (honours -addr)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := benchConfig{
-		addr: normalizeAddr(*addr), conc: *conc, duration: *duration,
-		nodes: *nodes, agents: *agents, out: *outPath, traceOut: *traceOut, smoke: *smoke,
-		storeBench: *storeB, chaosSpec: *chaosSpec, rateLimit: *rateLim,
-	}
-	if cfg.smoke {
-		// Seconds, not minutes: every workload path is exercised, but just
-		// long enough to produce non-degenerate quantiles. -addr is
-		// honoured so CI can smoke a chaos-armed external daemon.
-		cfg.conc = 4
-		cfg.duration = 250 * time.Millisecond
-		cfg.out = ""
+	if *smoke {
+		// Just long enough for every path to produce non-degenerate quantiles.
+		cfg.conc, cfg.duration = 4, 250*time.Millisecond
 	}
 	if cfg.conc < 1 || cfg.duration <= 0 || cfg.nodes < 4 || cfg.agents < 1 {
 		return fmt.Errorf("c, d, nodes and agents must be positive (and nodes at least 4)")
 	}
-	if cfg.storeBench {
-		if cfg.out == "BENCH_load.json" {
-			cfg.out = "BENCH_store.json" // retarget the mode's default; an explicit -out wins
-		}
-		return runStoreBench(cfg, out)
-	}
 	for _, w := range strings.Split(*workloads, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" {
+		if w = strings.TrimSpace(w); w == "" {
 			continue
 		}
-		known := false
-		for _, k := range knownWorkloads {
-			known = known || w == k
-		}
-		if !known {
+		if !slices.Contains(knownWorkloads, w) {
 			return fmt.Errorf("unknown workload %q (want a subset of %s)", w, strings.Join(knownWorkloads, ","))
 		}
 		cfg.workloads = append(cfg.workloads, w)
@@ -186,119 +114,45 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no workloads selected")
 	}
 
-	report, err := runBench(cfg, out)
+	results, err := runBench(cfg, out)
 	if err != nil {
 		return err
 	}
-	if err := validateReport(report, cfg.workloads); err != nil {
-		return fmt.Errorf("report failed schema validation: %w", err)
+	if err := validateReport(results, cfg.workloads); err != nil {
+		return fmt.Errorf("report failed validation: %w", err)
 	}
-	encoded, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	encoded = append(encoded, '\n')
-	switch cfg.out {
-	case "":
-		fmt.Fprintf(out, "mobibench: schema ok, %d workloads validated, nothing written\n", len(report.Results))
-	case "-":
-		out.Write(encoded)
-	default:
-		if err := os.WriteFile(cfg.out, encoded, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "mobibench: wrote %s\n", cfg.out)
-	}
+	fmt.Fprintf(out, "mobibench: schema ok, %d workloads validated\n", len(results))
 	return nil
 }
 
-// Report is the BENCH_load.json schema, following the repo's baseline-file
-// convention (description with the regeneration command, recorded date,
-// environment, per-key results).
-type Report struct {
-	Description string                    `json:"description"`
-	Recorded    string                    `json:"recorded"`
-	Environment Environment               `json:"environment"`
-	Config      RunConfig                 `json:"config"`
-	Results     map[string]WorkloadResult `json:"results"`
-	Notes       string                    `json:"notes,omitempty"`
-}
-
-// Environment records where the baseline was taken.
-type Environment struct {
-	Goos       string `json:"goos"`
-	Goarch     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
-	Gomaxprocs int    `json:"gomaxprocs"`
-}
-
-// RunConfig records the offered load.
-type RunConfig struct {
-	Target      string  `json:"target"` // "in-process" or the -addr URL
-	Concurrency int     `json:"concurrency"`
-	DurationS   float64 `json:"duration_s"` // per workload phase
-	Nodes       int     `json:"nodes"`
-	Agents      int     `json:"agents"`
-}
-
-// Quantiles are latency quantiles in milliseconds.
-type Quantiles struct {
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P99  float64 `json:"p99"`
-	Mean float64 `json:"mean"`
-}
-
 // WorkloadResult is one workload phase's outcome: client-side end-to-end
-// latency, saturation throughput at the offered concurrency, and the
-// server's own stage latencies recovered from /metrics for the same
-// window (scrape-resolution quantiles; absent for stages that did not
-// fire during the phase).
+// latency quantiles in ms and throughput at the offered concurrency.
 type WorkloadResult struct {
-	Requests       uint64               `json:"requests"`
-	Errors         uint64               `json:"errors"`
-	ThroughputRPS  float64              `json:"throughput_rps"`
-	LatencyMS      Quantiles            `json:"latency_ms"`
-	ServerStagesMS map[string]Quantiles `json:"server_stages_ms,omitempty"`
+	Requests, Errors    uint64
+	ThroughputRPS       float64
+	P50, P90, P99, Mean float64
 }
 
-// runBench stands up (or connects to) the service, runs every selected
-// workload phase, and assembles the report.
-func runBench(cfg benchConfig, progress io.Writer) (*Report, error) {
+// runBench stands up (or connects to) the service, runs and prints every
+// selected workload phase, and returns the results by workload name.
+func runBench(cfg benchConfig, progress io.Writer) (map[string]WorkloadResult, error) {
+	var shutdown func()
 	base := cfg.addr
 	if base == "" {
-		local, shutdown, err := startLocal(cfg)
-		if err != nil {
+		// The deadline machinery is always armed, at the client's own
+		// request budget — hardening on, at a level the bench never trips.
+		var err error
+		if base, shutdown, err = serveOne(simserve.New(simserve.Config{DefaultDeadline: requestBudget})); err != nil {
 			return nil, err
 		}
-		defer shutdown()
-		base = local
 	}
-	cl := newClient(base, cfg.conc)
-	if err := cl.waitHealthy(10 * time.Second); err != nil {
+	cl, stop, err := connect(base, cfg.conc, shutdown)
+	if err != nil {
 		return nil, err
 	}
+	defer stop()
 
-	target := "in-process"
-	if cfg.addr != "" {
-		target = cfg.addr
-	}
-	report := &Report{
-		Description: fmt.Sprintf(
-			"Service load baseline: closed-loop mobibench clients against a real mobiserved (%s), one phase per workload at concurrency %d for %s each. latency_ms is client-measured end-to-end (submit to result available) on log-bucketed telemetry histograms; server_stages_ms are the daemon's own mobiserved_stage_seconds histograms scraped off /metrics and differenced over the phase window; throughput_rps is completed requests over the phase wall-clock — the saturation throughput at this offered concurrency. Regenerate with: go run ./cmd/mobibench -c %d -d %s -out BENCH_load.json",
-			target, cfg.conc, cfg.duration, cfg.conc, cfg.duration),
-		Recorded: time.Now().Format("2006-01-02"),
-		Environment: Environment{
-			Goos: runtime.GOOS, Goarch: runtime.GOARCH,
-			GoVersion: runtime.Version(), Gomaxprocs: runtime.GOMAXPROCS(0),
-		},
-		Config: RunConfig{
-			Target: target, Concurrency: cfg.conc,
-			DurationS: cfg.duration.Seconds(), Nodes: cfg.nodes, Agents: cfg.agents,
-		},
-		Results: make(map[string]WorkloadResult, len(cfg.workloads)),
-		Notes:   "Workloads: cold = unique-seed scenarios (every request simulates), cached = one scenario re-submitted (LRU hit path), sweep = two-point sweeps with unique base seeds, series = NDJSON series fetches of one observed scenario. The cold/cached latency gap is the value of content-hash caching at the service level; queue_wait vs execute in server_stages_ms separates saturation from simulation cost.",
-	}
+	results := make(map[string]WorkloadResult, len(cfg.workloads))
 	var tr *prof.Trace
 	if cfg.traceOut != "" {
 		tr = prof.NewTrace()
@@ -309,42 +163,35 @@ func runBench(cfg benchConfig, progress io.Writer) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", name, err)
 		}
-		report.Results[name] = res
+		fmt.Fprintf(progress, "mobibench: %s: %d requests, %d errors, %.1f req/s, latency ms p50 %.3f p90 %.3f p99 %.3f mean %.3f\n",
+			name, res.Requests, res.Errors, res.ThroughputRPS, res.P50, res.P90, res.P99, res.Mean)
+		results[name] = res
 	}
-	if tr != nil {
-		if err := writeBenchTrace(tr, cfg.traceOut, progress); err != nil {
-			return nil, err
-		}
+	if tr == nil {
+		return results, nil
 	}
-	return report, nil
-}
-
-// traceSampleCap bounds the recorded request spans per workload phase, so
-// a long bench run exports a trace a viewer can still load; the cap is a
-// sample of the closed loop's steady state, not a census.
-const traceSampleCap = 2048
-
-// writeBenchTrace validates the bench trace as Chrome trace-event JSON
-// (the same validator the schema tests and CI use) and writes it out.
-func writeBenchTrace(tr *prof.Trace, path string, progress io.Writer) error {
+	// Validate the trace (the validator CI's tracecheck uses) before writing.
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
-		return err
+		return nil, err
 	}
 	spans, err := prof.ValidateChromeTrace(buf.Bytes())
 	if err != nil {
-		return fmt.Errorf("bench trace failed validation: %w", err)
+		return nil, fmt.Errorf("bench trace failed validation: %w", err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return err
+	if err := os.WriteFile(cfg.traceOut, buf.Bytes(), 0o644); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(progress, "mobibench: trace %s (%d spans, validated)\n", path, spans)
-	return nil
+	fmt.Fprintf(progress, "mobibench: trace %s (%d spans, validated)\n", cfg.traceOut, spans)
+	return results, nil
 }
 
-// runPhase prepares one workload, scrapes the server's histograms, runs
-// the closed loop for the configured duration, scrapes again, and folds
-// both views into the result.
+// traceSampleCap bounds the recorded request spans per workload phase, so
+// a long run exports a trace a viewer can still load.
+const traceSampleCap = 2048
+
+// runPhase prepares one workload and runs its closed loop for the
+// configured duration.
 func runPhase(cl *client, name string, cfg benchConfig, tr *prof.Trace, phase int) (WorkloadResult, error) {
 	request, cleanup, err := makeWorkload(cl, name, cfg)
 	if err != nil {
@@ -353,26 +200,19 @@ func runPhase(cl *client, name string, cfg benchConfig, tr *prof.Trace, phase in
 	if cleanup != nil {
 		defer cleanup()
 	}
-	before, err := cl.scrape()
-	if err != nil {
-		return WorkloadResult{}, err
-	}
 
 	var (
-		hist     telemetry.Histogram
-		requests atomic.Uint64
-		errCount atomic.Uint64
-		sampled  atomic.Uint64
-		errMu    sync.Mutex
-		firstErr error
+		hist                        telemetry.Histogram
+		requests, errCount, sampled atomic.Uint64
+		firstErr                    error
+		firstOnce                   sync.Once
 	)
 	deadline := time.Now().Add(cfg.duration)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.conc; w++ {
 		// One trace lane per (workload, client): a closed loop's spans
-		// never overlap within a lane, which is what makes the exported
-		// timeline readable.
+		// never overlap within a lane, which keeps the timeline readable.
 		tid := int64(phase*cfg.conc+w) + 1
 		tr.NameThread(tid, fmt.Sprintf("%s client %d", name, w))
 		wg.Add(1)
@@ -382,11 +222,7 @@ func runPhase(cl *client, name string, cfg benchConfig, tr *prof.Trace, phase in
 				t0 := time.Now()
 				if err := request(); err != nil {
 					errCount.Add(1)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
+					firstOnce.Do(func() { firstErr = err })
 					continue
 				}
 				d := time.Since(t0)
@@ -401,179 +237,86 @@ func runPhase(cl *client, name string, cfg benchConfig, tr *prof.Trace, phase in
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	after, err := cl.scrape()
-	if err != nil {
-		return WorkloadResult{}, err
-	}
 	n := requests.Load()
 	if n == 0 {
-		if firstErr != nil {
-			return WorkloadResult{}, fmt.Errorf("no request succeeded; first error: %w", firstErr)
-		}
-		return WorkloadResult{}, fmt.Errorf("no request completed within %s", cfg.duration)
+		return WorkloadResult{}, fmt.Errorf("no request succeeded within %s (first error: %v)", cfg.duration, firstErr)
 	}
-
-	res := WorkloadResult{
+	return WorkloadResult{
 		Requests:      n,
 		Errors:        errCount.Load(),
 		ThroughputRPS: float64(n) / elapsed.Seconds(),
-		LatencyMS: Quantiles{
-			P50:  ms(hist.Quantile(0.50)),
-			P90:  ms(hist.Quantile(0.90)),
-			P99:  ms(hist.Quantile(0.99)),
-			Mean: hist.Sum().Seconds() * 1e3 / float64(n),
-		},
-		ServerStagesMS: make(map[string]Quantiles),
-	}
-	for _, stage := range []string{"admission", "queue_wait", "execute", "assemble", "cache_write", "sweep_expand", "series_render"} {
-		key := `mobiserved_stage_seconds{stage="` + stage + `"}`
-		a, okA := after[key]
-		if !okA {
-			continue
-		}
-		window := a
-		if b, okB := before[key]; okB {
-			if diff, ok := a.Sub(b); ok {
-				window = diff
-			}
-		}
-		if window.Count() == 0 {
-			continue
-		}
-		res.ServerStagesMS[stage] = Quantiles{
-			P50:  window.Quantile(0.50) * 1e3,
-			P90:  window.Quantile(0.90) * 1e3,
-			P99:  window.Quantile(0.99) * 1e3,
-			Mean: window.Sum / float64(window.Count()) * 1e3,
-		}
-	}
-	if len(res.ServerStagesMS) == 0 {
-		res.ServerStagesMS = nil
-	}
-	return res, nil
+		P50:           ms(hist.Quantile(0.50)),
+		P90:           ms(hist.Quantile(0.90)),
+		P99:           ms(hist.Quantile(0.99)),
+		Mean:          ms(hist.Sum()) / float64(n),
+	}, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // makeWorkload returns the request function one closed-loop client calls
-// repeatedly, after any pre-warm the workload needs, plus an optional
-// cleanup for workloads that boot their own backends (store, fleet). Seeds
-// come from a package-level counter so every "unique" request is unique
-// across the whole bench run, phases included.
+// repeatedly, after any pre-warm, plus an optional cleanup for a backend
+// the workload boots (fleet). Seeds are unique across the whole run.
 func makeWorkload(cl *client, name string, cfg benchConfig) (func() error, func(), error) {
-	spec := func(seed uint64) []byte {
-		return []byte(fmt.Sprintf(`{"engine":"broadcast","nodes":%d,"agents":%d,"reps":1,"seed":%d}`, cfg.nodes, cfg.agents, seed))
+	spec := func(seed uint64) scenario.Spec {
+		return scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: cfg.nodes, Agents: cfg.agents, Reps: 1, Seed: seed}
 	}
-	sweepSpec := func(seed uint64) []byte {
-		return []byte(fmt.Sprintf(
-			`{"base":{"engine":"broadcast","nodes":%d,"agents":%d,"reps":1,"seed":%d},"axes":[{"field":"agents","values":[%d,%d]}]}`,
-			cfg.nodes, cfg.agents, seed, cfg.agents, cfg.agents*2))
+	sweepSpec := func(seed uint64) sweep.Spec {
+		return sweep.Spec{Base: spec(seed), Axes: []sweep.Axis{{Field: "agents", Values: []any{cfg.agents, cfg.agents * 2}}}}
 	}
 	switch name {
 	case "cold":
-		return func() error {
-			_, err := cl.submitAndWait(spec(nextSeed()))
-			return err
-		}, nil, nil
+		return func() error { return cl.run(spec(nextSeed())) }, nil, nil
 	case "cached":
 		warm := spec(1)
-		if _, err := cl.submitAndWait(warm); err != nil {
+		if err := cl.run(warm); err != nil {
 			return nil, nil, fmt.Errorf("pre-warm: %w", err)
 		}
-		return func() error {
-			_, err := cl.submitAndWait(warm)
-			return err
-		}, nil, nil
-	case "sweep":
-		return func() error {
-			return cl.sweepAndWait(sweepSpec(nextSeed()))
-		}, nil, nil
+		return func() error { return cl.run(warm) }, nil, nil
 	case "series":
-		observed := []byte(fmt.Sprintf(
-			`{"engine":"broadcast","nodes":%d,"agents":%d,"reps":1,"seed":2,"observe":{"observables":["informed"],"every":4}}`,
-			cfg.nodes, cfg.agents))
-		hash, err := cl.submitAndWait(observed)
+		observed := spec(2)
+		observed.Observe = &obs.Spec{Observables: []string{obs.Informed}, Every: 4}
+		hash, err := observed.Hash()
 		if err != nil {
+			return nil, nil, err
+		}
+		if err := cl.run(observed); err != nil {
 			return nil, nil, fmt.Errorf("pre-warm: %w", err)
 		}
 		return func() error { return cl.getSeries(hash) }, nil, nil
-	case "store":
-		// The disk-hit path: a pre-warmed spec set resubmitted against a
-		// server whose LRU holds only two entries, so nearly every answer
-		// reads through to the content-addressed disk store. With -addr the
-		// external daemon is assumed to carry -store (and its own -cache).
-		target, cleanup := cl, func() {}
-		if cfg.addr == "" {
-			base, shutdown, err := startStoreServer()
-			if err != nil {
-				return nil, nil, err
-			}
-			cleanup = shutdown
-			target = newClient(base, cfg.conc)
-			if err := target.waitHealthy(10 * time.Second); err != nil {
-				cleanup()
-				return nil, nil, err
-			}
-		}
-		const specSet = 32
-		specs := make([][]byte, specSet)
-		for i := range specs {
-			specs[i] = spec(nextSeed())
-			if _, err := target.submitAndWait(specs[i]); err != nil {
-				cleanup()
-				return nil, nil, fmt.Errorf("pre-warm: %w", err)
-			}
-		}
-		var next atomic.Uint64
-		return func() error {
-			_, err := target.submitAndWait(specs[next.Add(1)%specSet])
-			return err
-		}, cleanup, nil
-	case "fleet":
-		// Unique-seed two-point sweeps against a coordinator: each point is
-		// dispatched to its rendezvous home over real HTTP. With -addr the
+	case "sweep", "fleet":
+		// fleet sends the sweeps to a coordinator, which dispatches each
+		// point to its rendezvous home over real HTTP. With -addr the
 		// external daemon is assumed to run -coordinator.
 		target, cleanup := cl, func() {}
-		if cfg.addr == "" {
+		if name == "fleet" && cfg.addr == "" {
 			base, shutdown, err := startFleet(2)
 			if err != nil {
 				return nil, nil, err
 			}
-			cleanup = shutdown
-			target = newClient(base, cfg.conc)
-			if err := target.waitHealthy(10 * time.Second); err != nil {
-				cleanup()
+			if target, cleanup, err = connect(base, cfg.conc, shutdown); err != nil {
 				return nil, nil, err
 			}
 		}
-		return func() error {
-			return target.sweepAndWait(sweepSpec(nextSeed()))
-		}, cleanup, nil
+		return func() error { return target.sweepAndWait(sweepSpec(nextSeed())) }, cleanup, nil
 	case "chaos":
-		// The resilience workload: cold-style submissions against a
-		// fault-injecting server, retried the way a well-behaved client
-		// should — capped exponential backoff with jitter. One logical
-		// request keeps one spec across its attempts (a real client
-		// retries the same work), and counts as an error only when every
-		// attempt fails.
-		return func() error {
+		// Cold-style runs against a fault-injecting server, retried the way
+		// a well-behaved client should: one spec across all attempts, and an
+		// error only when every attempt fails.
+		return func() (err error) {
 			s := spec(nextSeed())
-			var lastErr error
-			backoff := chaosRetryBase
-			for attempt := 0; attempt < chaosRetryAttempts; attempt++ {
+			for attempt, backoff := 0, chaosRetryBase; attempt < chaosRetryAttempts; attempt++ {
 				if attempt > 0 {
-					time.Sleep(jitter(backoff))
-					if backoff *= 2; backoff > chaosRetryCap {
-						backoff = chaosRetryCap
-					}
+					// Jitter over [b/2, 3b/2), so retrying clients do not
+					// resubmit in lockstep.
+					time.Sleep(backoff/2 + time.Duration(rand.Int64N(int64(backoff))))
+					backoff = min(2*backoff, chaosRetryCap)
 				}
-				if _, err := cl.submitAndWait(s); err == nil {
+				if err = cl.run(s); err == nil {
 					return nil
-				} else {
-					lastErr = err
 				}
 			}
-			return fmt.Errorf("%d attempts exhausted: %w", chaosRetryAttempts, lastErr)
+			return fmt.Errorf("%d attempts exhausted: %w", chaosRetryAttempts, err)
 		}, nil, nil
 	}
 	return nil, nil, fmt.Errorf("unknown workload %q", name)
@@ -587,54 +330,15 @@ const (
 	chaosRetryCap      = 200 * time.Millisecond
 )
 
-// jitter spreads a backoff uniformly over [d/2, 3d/2), so a fleet of
-// retrying clients does not resubmit in lockstep.
-func jitter(d time.Duration) time.Duration {
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
-}
-
 var seedCounter atomic.Uint64
 
-// nextSeed returns a seed no other request of this bench run has used.
-// The fixed offset keeps the generated specs clear of the small seeds the
-// warm workloads and the repo's examples pin.
+// nextSeed returns a seed no other request of this run has used, clear of
+// the small seeds the warm workloads pin.
 func nextSeed() uint64 { return 1_000_000 + seedCounter.Add(1) }
 
-// startLocal boots an in-process mobiserved-equivalent (the same
-// simserve.Server behind a plain http.Server on a loopback port) and
-// returns its base URL and a shutdown func. -chaos and -rate-limit arm
-// the local server so the chaos workload can bench the retry path
-// without an external daemon.
-func startLocal(cfg benchConfig) (string, func(), error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	injector, err := chaos.Parse(cfg.chaosSpec)
-	if err != nil {
-		return "", nil, err
-	}
-	// The deadline machinery is always armed, at the client's own request
-	// budget — hardening on, at a level the bench never trips, which is
-	// exactly the regime BENCH_load.json records.
-	svc := simserve.New(simserve.Config{
-		Chaos:           injector,
-		RateLimit:       cfg.rateLimit,
-		DefaultDeadline: requestBudget,
-	})
-	hs := &http.Server{Handler: svc}
-	go hs.Serve(l)
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-		svc.Shutdown(ctx)
-	}
-	return "http://" + l.Addr().String(), shutdown, nil
-}
-
-// serveOne puts a service behind a loopback HTTP listener and returns the
-// base URL plus a shutdown that drains both layers.
+// serveOne puts a service behind a loopback HTTP listener — the
+// in-process mobiserved equivalent — and returns the base URL plus a
+// shutdown that drains both layers.
 func serveOne(svc *simserve.Server) (string, func(), error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -651,57 +355,41 @@ func serveOne(svc *simserve.Server) (string, func(), error) {
 	return "http://" + l.Addr().String(), shutdown, nil
 }
 
-// startStoreServer boots an in-process server with a disk result store in
-// a throwaway directory and an LRU deliberately too small (2 entries) to
-// answer the store workload's 32-spec set from memory.
-func startStoreServer() (string, func(), error) {
-	dir, err := os.MkdirTemp("", "mobibench-store-")
-	if err != nil {
-		return "", nil, err
-	}
-	st, err := store.Open(dir, 1<<30)
-	if err != nil {
-		os.RemoveAll(dir)
-		return "", nil, err
-	}
-	svc := simserve.New(simserve.Config{CacheEntries: 2, Store: st, DefaultDeadline: requestBudget})
-	base, shutdown, err := serveOne(svc)
-	if err != nil {
-		os.RemoveAll(dir)
-		return "", nil, err
-	}
-	return base, func() { shutdown(); os.RemoveAll(dir) }, nil
-}
-
 // startFleet boots n in-process workers plus a coordinator sharding sweep
 // points across them — the same wiring cmd/mobiserved -coordinator uses —
 // and returns the coordinator's base URL and a fleet-wide shutdown.
 func startFleet(n int) (string, func(), error) {
+	// The coordinator's worker connections are closed after each shutdown:
+	// one its transport dialled but never used would otherwise hold a
+	// worker's http.Server.Shutdown for 5 s.
+	hc := &http.Client{Timeout: 10 * time.Second}
 	var shutdowns []func()
 	shutdownAll := func() {
 		// Coordinator first: it stops dispatching before its workers go away.
 		for i := len(shutdowns) - 1; i >= 0; i-- {
 			shutdowns[i]()
+			hc.CloseIdleConnections()
 		}
 	}
 	fail := func(err error) (string, func(), error) {
 		shutdownAll()
 		return "", nil, err
 	}
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
+	addrs := make([]string, n)
+	for i := range addrs {
 		base, shutdown, err := serveOne(simserve.New(simserve.Config{DefaultDeadline: requestBudget}))
 		if err != nil {
 			return fail(err)
 		}
 		shutdowns = append(shutdowns, shutdown)
-		addrs = append(addrs, strings.TrimPrefix(base, "http://"))
+		addrs[i] = strings.TrimPrefix(base, "http://")
 	}
 	var coord *simserve.Server
 	exec, err := cluster.New(cluster.Config{
-		Workers: addrs,
-		Lookup:  func(hash string) ([]byte, bool) { return coord.Result(hash) },
-		Persist: func(hash string, payload []byte) { coord.PutResult(hash, payload) },
+		Workers:    addrs,
+		HTTPClient: hc,
+		Lookup:     func(hash string) ([]byte, bool) { return coord.Result(hash) },
+		Persist:    func(hash string, payload []byte) { coord.PutResult(hash, payload) },
 	})
 	if err != nil {
 		return fail(err)
@@ -715,369 +403,77 @@ func startFleet(n int) (string, func(), error) {
 	return base, shutdownAll, nil
 }
 
-// StoreReport is the BENCH_store.json schema: the same point measured
-// through each cache tier, plus fleet sweep throughput as workers scale.
-type StoreReport struct {
-	Description     string               `json:"description"`
-	Recorded        string               `json:"recorded"`
-	Environment     Environment          `json:"environment"`
-	Config          StoreRunConfig       `json:"config"`
-	PointLatencyMS  map[string]Quantiles `json:"point_latency_ms"`
-	FleetThroughput []FleetPoint         `json:"fleet_throughput"`
-	Notes           string               `json:"notes"`
-}
-
-// StoreRunConfig records the store-bench shape.
-type StoreRunConfig struct {
-	Points      int     `json:"points"` // distinct specs in the latency set
-	Concurrency int     `json:"concurrency"`
-	DurationS   float64 `json:"duration_s"` // per fleet-throughput rung
-	Nodes       int     `json:"nodes"`
-	Agents      int     `json:"agents"`
-}
-
-// FleetPoint is one fleet-throughput rung: closed-loop unique-seed
-// two-point sweeps against a coordinator with that many workers.
-type FleetPoint struct {
-	Workers    int     `json:"workers"`
-	Sweeps     uint64  `json:"sweeps"`
-	SweepsPerS float64 `json:"sweeps_per_s"`
-	PointsPerS float64 `json:"points_per_s"`
-}
-
-// fleetRungs are the worker counts the store bench ladders through.
-var fleetRungs = []int{1, 2, 4}
-
-// runStoreBench records the BENCH_store.json baseline: each cache tier's
-// point latency (cold = full simulation; lru_warm = memory hit; disk_warm
-// = store hit on a restarted server whose LRU starts empty), then fleet
-// sweep throughput at 1, 2 and 4 workers.
-func runStoreBench(cfg benchConfig, out io.Writer) error {
-	points := 64
-	if cfg.smoke {
-		points = 8
-	}
-	dir, err := os.MkdirTemp("", "mobibench-storebench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	openServer := func() (*client, func(), error) {
-		st, err := store.Open(dir, 1<<30)
-		if err != nil {
-			return nil, nil, err
-		}
-		base, shutdown, err := serveOne(simserve.New(simserve.Config{Store: st, DefaultDeadline: requestBudget}))
-		if err != nil {
-			return nil, nil, err
-		}
-		cl := newClient(base, cfg.conc)
-		if err := cl.waitHealthy(10 * time.Second); err != nil {
-			shutdown()
-			return nil, nil, err
-		}
-		return cl, shutdown, nil
-	}
-	seeds := make([]uint64, points)
-	for i := range seeds {
-		seeds[i] = nextSeed()
-	}
-	spec := func(seed uint64) []byte {
-		return []byte(fmt.Sprintf(`{"engine":"broadcast","nodes":%d,"agents":%d,"reps":1,"seed":%d}`, cfg.nodes, cfg.agents, seed))
-	}
-	measure := func(cl *client, class string) (Quantiles, error) {
-		var hist telemetry.Histogram
-		for _, seed := range seeds {
-			t0 := time.Now()
-			if _, err := cl.submitAndWait(spec(seed)); err != nil {
-				return Quantiles{}, fmt.Errorf("%s point: %w", class, err)
-			}
-			hist.Record(time.Since(t0))
-		}
-		return Quantiles{
-			P50:  ms(hist.Quantile(0.50)),
-			P90:  ms(hist.Quantile(0.90)),
-			P99:  ms(hist.Quantile(0.99)),
-			Mean: hist.Sum().Seconds() * 1e3 / float64(points),
-		}, nil
-	}
-
-	fmt.Fprintf(out, "mobibench: store tiers (%d points)\n", points)
-	cl, shutdown, err := openServer()
-	if err != nil {
-		return err
-	}
-	cold, err := measure(cl, "cold")
-	if err != nil {
-		shutdown()
-		return err
-	}
-	lru, err := measure(cl, "lru_warm")
-	if err != nil {
-		shutdown()
-		return err
-	}
-	shutdown() // flushes the write-behind spill; the store now holds every point
-	cl, shutdown, err = openServer()
-	if err != nil {
-		return err
-	}
-	disk, err := measure(cl, "disk_warm")
-	shutdown()
-	if err != nil {
-		return err
-	}
-
-	report := &StoreReport{
-		Description: fmt.Sprintf(
-			"Distributed execution tier baseline. point_latency_ms measures the same %d distinct scenario points end to end through each cache tier: cold (first submission, full simulation), lru_warm (resubmission answered by the in-memory LRU), disk_warm (resubmission against a restarted server whose LRU starts empty, answered through the content-addressed disk store). fleet_throughput is closed-loop unique-seed two-point sweeps at concurrency %d for %s against an in-process coordinator sharding points by rendezvous hash across 1, 2 and 4 workers. Regenerate with: go run ./cmd/mobibench -store-bench -out BENCH_store.json",
-			points, cfg.conc, cfg.duration),
-		Recorded: time.Now().Format("2006-01-02"),
-		Environment: Environment{
-			Goos: runtime.GOOS, Goarch: runtime.GOARCH,
-			GoVersion: runtime.Version(), Gomaxprocs: runtime.GOMAXPROCS(0),
-		},
-		Config: StoreRunConfig{
-			Points: points, Concurrency: cfg.conc,
-			DurationS: cfg.duration.Seconds(), Nodes: cfg.nodes, Agents: cfg.agents,
-		},
-		PointLatencyMS: map[string]Quantiles{"cold": cold, "lru_warm": lru, "disk_warm": disk},
-		Notes:          "The cold/disk_warm gap is what a restart no longer costs (ROADMAP item 1: results survive the process); the disk_warm/lru_warm gap is the price of a store read-through vs a memory hit. Fleet rungs all run the same in-process workers on one machine, so points_per_s scaling understates what distinct hosts would give — the rung structure (1 vs 2 vs 4) is the comparable shape, not the absolute numbers.",
-	}
-
-	for _, n := range fleetRungs {
-		fmt.Fprintf(out, "mobibench: fleet rung (%d workers, c=%d, %s)\n", n, cfg.conc, cfg.duration)
-		base, stopFleet, err := startFleet(n)
-		if err != nil {
-			return err
-		}
-		tcl := newClient(base, cfg.conc)
-		if err := tcl.waitHealthy(10 * time.Second); err != nil {
-			stopFleet()
-			return err
-		}
-		var sweeps atomic.Uint64
-		var firstErr atomic.Value
-		deadline := time.Now().Add(cfg.duration)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.conc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					body := fmt.Sprintf(
-						`{"base":{"engine":"broadcast","nodes":%d,"agents":%d,"reps":1,"seed":%d},"axes":[{"field":"agents","values":[%d,%d]}]}`,
-						cfg.nodes, cfg.agents, nextSeed(), cfg.agents, cfg.agents*2)
-					if err := tcl.sweepAndWait([]byte(body)); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					sweeps.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		stopFleet()
-		if err, _ := firstErr.Load().(error); err != nil {
-			return fmt.Errorf("fleet rung %d: %w", n, err)
-		}
-		done := sweeps.Load()
-		if done == 0 {
-			return fmt.Errorf("fleet rung %d completed no sweeps within %s", n, cfg.duration)
-		}
-		rate := float64(done) / elapsed.Seconds()
-		report.FleetThroughput = append(report.FleetThroughput, FleetPoint{
-			Workers: n, Sweeps: done, SweepsPerS: rate, PointsPerS: 2 * rate,
-		})
-	}
-
-	if err := validateStoreReport(report); err != nil {
-		return fmt.Errorf("store report failed schema validation: %w", err)
-	}
-	encoded, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	encoded = append(encoded, '\n')
-	switch cfg.out {
-	case "":
-		fmt.Fprintf(out, "mobibench: store-bench schema ok, nothing written\n")
-	case "-":
-		out.Write(encoded)
-	default:
-		if err := os.WriteFile(cfg.out, encoded, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "mobibench: wrote %s\n", cfg.out)
-	}
-	return nil
-}
-
-// validateStoreReport checks the BENCH_store.json invariants the schema
-// pin and CI rely on: the regeneration command, every cache tier present
-// with ordered positive quantiles, and one positive throughput rung per
-// fleet size.
-func validateStoreReport(r *StoreReport) error {
-	if !strings.Contains(r.Description, "go run ./cmd/mobibench -store-bench") {
-		return fmt.Errorf("description lacks the regeneration command")
-	}
-	if r.Recorded == "" {
-		return fmt.Errorf("recorded date missing")
-	}
-	for _, tier := range []string{"cold", "lru_warm", "disk_warm"} {
-		q, ok := r.PointLatencyMS[tier]
-		if !ok {
-			return fmt.Errorf("point_latency_ms misses tier %q", tier)
-		}
-		if q.P50 <= 0 || q.P90 < q.P50 || q.P99 < q.P90 {
-			return fmt.Errorf("tier %q quantiles degenerate: %+v", tier, q)
-		}
-	}
-	if len(r.FleetThroughput) != len(fleetRungs) {
-		return fmt.Errorf("fleet_throughput has %d rungs, want %d", len(r.FleetThroughput), len(fleetRungs))
-	}
-	for i, fp := range r.FleetThroughput {
-		if fp.Workers != fleetRungs[i] || fp.Sweeps == 0 || fp.SweepsPerS <= 0 || fp.PointsPerS <= 0 {
-			return fmt.Errorf("fleet rung %d degenerate: %+v", i, fp)
-		}
-	}
-	return nil
-}
-
-// client is a thin HTTP client over the service API with the polling
-// loops the closed-loop workers run.
-type client struct {
-	base string
-	hc   *http.Client
-}
-
-func newClient(base string, conc int) *client {
-	tr := &http.Transport{
-		MaxIdleConns:        conc * 2,
-		MaxIdleConnsPerHost: conc * 2,
-	}
-	return &client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr, Timeout: 60 * time.Second}}
-}
-
-func (c *client) waitHealthy(budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		resp, err := c.hc.Get(c.base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("server at %s never became healthy", c.base)
-}
-
-// pollInterval paces job/sweep polling; well under the cold scenario's
-// execution time, so polling quantisation stays small against the
-// latencies being measured.
-const pollInterval = 300 * time.Microsecond
-
 // requestBudget caps one closed-loop request end to end, so a wedged
 // server fails the bench instead of hanging it.
 const requestBudget = 30 * time.Second
 
-var errJobFailed = errors.New("job failed")
-
-// submitAndWait POSTs a scenario and blocks until its result exists,
-// returning the content hash. A 200 is the cached fast path; a 202 is
-// polled through /v1/jobs/{id}.
-func (c *client) submitAndWait(spec []byte) (string, error) {
-	resp, err := c.hc.Post(c.base+"/v1/run", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		return "", err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("POST /v1/run: status %d: %.200s", resp.StatusCode, body)
-	}
-	var ticket struct {
-		JobID  string `json:"job_id"`
-		Hash   string `json:"hash"`
-		Cached bool   `json:"cached"`
-	}
-	if err := json.Unmarshal(body, &ticket); err != nil {
-		return "", err
-	}
-	if ticket.Cached {
-		return ticket.Hash, nil
-	}
-	deadline := time.Now().Add(requestBudget)
-	for time.Now().Before(deadline) {
-		resp, err := c.hc.Get(c.base + "/v1/jobs/" + ticket.JobID)
-		if err != nil {
-			return "", err
-		}
-		var view struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		switch view.Status {
-		case "done":
-			return ticket.Hash, nil
-		case "failed":
-			return "", fmt.Errorf("%w: %s", errJobFailed, view.Error)
-		case "cancelled":
-			return "", fmt.Errorf("%w (cancelled): %s", errJobFailed, view.Error)
-		}
-		time.Sleep(pollInterval)
-	}
-	return "", fmt.Errorf("job %s did not finish within %s", ticket.JobID, requestBudget)
+// client drives the service API: scenario runs through cluster.Client,
+// plus the sweep and series routes it does not cover.
+type client struct {
+	*cluster.Client
+	hc *http.Client
 }
 
-// sweepAndWait POSTs a sweep spec and polls /v1/sweeps/{id} to completion.
-func (c *client) sweepAndWait(spec []byte) error {
-	resp, err := c.hc.Post(c.base+"/v1/sweeps", "application/json", bytes.NewReader(spec))
+func newClient(addr string, conc int) *client {
+	hc := &http.Client{
+		Transport: &http.Transport{MaxIdleConns: conc * 2, MaxIdleConnsPerHost: conc * 2},
+		Timeout:   60 * time.Second,
+	}
+	return &client{Client: cluster.NewClient(strings.TrimRight(addr, "/"), hc), hc: hc}
+}
+
+// connect returns a client for base once it answers /healthz, and a stop
+// that closes the client's idle connections (see startFleet) and then
+// runs shutdown (nil for an external daemon).
+func connect(base string, conc int, shutdown func()) (*client, func(), error) {
+	cl := newClient(base, conc)
+	stop := func() {
+		cl.hc.CloseIdleConnections()
+		if shutdown != nil {
+			shutdown()
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); cl.Healthy() != nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			stop()
+			return nil, nil, fmt.Errorf("server at %s never became healthy", cl.Addr())
+		}
+	}
+	return cl, stop, nil
+}
+
+// run executes one scenario in one blocking round trip (re-POSTed while the
+// job outlives the wait bound); a failed job (422) is an error.
+func (c *client) run(spec scenario.Spec) error {
+	ctx, cancel := context.WithTimeout(context.Background(), requestBudget)
+	defer cancel()
+	_, _, err := c.RunPoint(spec, ctx)
+	return err
+}
+
+// pollInterval paces sweep polling, well under a sweep's execution time
+// so polling quantisation stays small against the measured latency.
+const pollInterval = 300 * time.Microsecond
+
+// sweepAndWait POSTs a sweep spec and polls /v1/sweeps/{id} to completion
+// (the sweep route has no blocking form).
+func (c *client) sweepAndWait(spec sweep.Spec) error {
+	body, err := json.Marshal(spec)
 	if err != nil {
 		return err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("POST /v1/sweeps: status %d: %.200s", resp.StatusCode, body)
 	}
 	var ticket struct {
 		SweepID string `json:"sweep_id"`
 	}
-	if err := json.Unmarshal(body, &ticket); err != nil {
+	if err := c.call(http.MethodPost, "/v1/sweeps", body, http.StatusAccepted, &ticket); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(requestBudget)
-	for time.Now().Before(deadline) {
-		resp, err := c.hc.Get(c.base + "/v1/sweeps/" + ticket.SweepID)
-		if err != nil {
-			return err
-		}
+	for deadline := time.Now().Add(requestBudget); time.Now().Before(deadline); time.Sleep(pollInterval) {
 		var view struct {
 			Status string `json:"status"`
 			Error  string `json:"error"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil {
+		if err := c.call(http.MethodGet, "/v1/sweeps/"+ticket.SweepID, nil, http.StatusOK, &view); err != nil {
 			return err
 		}
 		switch view.Status {
@@ -1086,65 +482,50 @@ func (c *client) sweepAndWait(spec []byte) error {
 		case "failed":
 			return fmt.Errorf("sweep failed: %s", view.Error)
 		}
-		time.Sleep(pollInterval)
 	}
 	return fmt.Errorf("sweep %s did not finish within %s", ticket.SweepID, requestBudget)
 }
 
 // getSeries fetches a cached result's NDJSON series.
 func (c *client) getSeries(hash string) error {
-	resp, err := c.hc.Get(c.base + "/v1/results/" + hash + "/series")
+	return c.call(http.MethodGet, "/v1/results/"+hash+"/series", nil, http.StatusOK, nil)
+}
+
+// call sends one request and decodes the JSON answer into v (nil discards
+// it); any status but want is an error.
+func (c *client) call(method, path string, body []byte, want int, v any) error {
+	req, err := http.NewRequest(method, c.Addr()+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET series: status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// scrape fetches /metrics and parses every histogram series out of it.
-func (c *client) scrape() (map[string]telemetry.ScrapedHistogram, error) {
-	resp, err := c.hc.Get(c.base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil:
+		return err
+	case resp.StatusCode != want:
+		return fmt.Errorf("%s %s: status %d: %.200s", method, path, resp.StatusCode, data)
+	case v == nil:
+		return nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	return telemetry.ParseHistograms(string(body)), nil
+	return json.Unmarshal(data, v)
 }
 
-// chaosErrorBudget is the error fraction the chaos workload tolerates:
-// its retries are expected to absorb injected faults, but a server
-// injecting panics at a high rate can legitimately exhaust a few retry
-// chains. Every other workload still requires zero errors.
+// chaosErrorBudget is the error fraction the chaos workload tolerates: a
+// server injecting panics at a high rate can legitimately exhaust a few
+// retry chains. Every other workload requires zero errors.
 const chaosErrorBudget = 0.2
 
-// validateReport checks the BENCH_load.json invariants every consumer
-// (and the CI smoke job) relies on: the regeneration command in the
-// description, and per requested workload a non-degenerate result with
-// ordered quantiles and no errors (chaos alone gets a bounded error
-// budget — surviving injected faults is its whole point).
-func validateReport(r *Report, workloads []string) error {
-	if !strings.Contains(r.Description, "go run ./cmd/mobibench") {
-		return fmt.Errorf("description lacks the regeneration command")
-	}
-	if r.Recorded == "" {
-		return fmt.Errorf("recorded date missing")
-	}
+// validateReport checks what every CI smoke job relies on: per requested
+// workload a non-degenerate result with ordered quantiles and no errors
+// (chaos alone gets chaosErrorBudget).
+func validateReport(results map[string]WorkloadResult, workloads []string) error {
 	for _, name := range workloads {
-		res, ok := r.Results[name]
+		res, ok := results[name]
 		if !ok {
 			return fmt.Errorf("workload %s missing from results", name)
 		}
@@ -1158,8 +539,8 @@ func validateReport(r *Report, workloads []string) error {
 			return fmt.Errorf("workload %s had %d errors", name, res.Errors)
 		case res.ThroughputRPS <= 0:
 			return fmt.Errorf("workload %s throughput %g", name, res.ThroughputRPS)
-		case res.LatencyMS.P50 <= 0 || res.LatencyMS.P99 < res.LatencyMS.P50:
-			return fmt.Errorf("workload %s quantiles out of order: p50 %g p99 %g", name, res.LatencyMS.P50, res.LatencyMS.P99)
+		case res.P50 <= 0 || res.P99 < res.P50:
+			return fmt.Errorf("workload %s quantiles out of order: p50 %g p99 %g", name, res.P50, res.P99)
 		}
 	}
 	return nil

@@ -2,12 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -27,24 +27,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestNormalizeAddr checks that -addr accepts a bare host:port as well as
+// a base URL, with or without a trailing slash.
 func TestNormalizeAddr(t *testing.T) {
 	t.Parallel()
 	for in, want := range map[string]string{
-		"":                      "",
-		"localhost:8080":        "http://localhost:8080",
-		"127.0.0.1:18080":       "http://127.0.0.1:18080",
-		"http://localhost:8080": "http://localhost:8080",
-		"https://bench.example": "https://bench.example",
+		"localhost:8080":         "http://localhost:8080",
+		"127.0.0.1:18080":        "http://127.0.0.1:18080",
+		"http://localhost:8080":  "http://localhost:8080",
+		"http://localhost:8080/": "http://localhost:8080",
+		"https://bench.example":  "https://bench.example",
 	} {
-		if got := normalizeAddr(in); got != want {
-			t.Errorf("normalizeAddr(%q) = %q, want %q", in, got, want)
+		if got := newClient(in, 1).Addr(); got != want {
+			t.Errorf("newClient(%q).Addr() = %q, want %q", in, got, want)
 		}
 	}
 }
 
 // TestSmoke is the CI entry point's twin: the full in-process bench at
-// smoke scale, every workload phase exercised, the report schema
-// validated, and nothing written to disk.
+// smoke scale, every default workload phase exercised and validated.
 func TestSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
@@ -56,55 +57,13 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestWritesBaselineFile runs a tiny two-workload bench into a temp file
-// and checks the acceptance-criterion fields survive a JSON round trip:
-// p50/p99 latency and throughput for the cold and cached workloads, and
-// the regeneration command in the description.
-func TestWritesBaselineFile(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	var out bytes.Buffer
-	err := run([]string{"-c", "2", "-d", "200ms", "-workloads", "cold,cached", "-out", path}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Description, "go run ./cmd/mobibench") {
-		t.Error("description lacks the regeneration command")
-	}
-	for _, name := range []string{"cold", "cached"} {
-		res, ok := rep.Results[name]
-		if !ok {
-			t.Fatalf("workload %s missing", name)
-		}
-		if res.LatencyMS.P50 <= 0 || res.LatencyMS.P99 < res.LatencyMS.P50 || res.ThroughputRPS <= 0 {
-			t.Errorf("%s: degenerate result %+v", name, res)
-		}
-	}
-	// The cold workload must have recorded server-side queue-wait and
-	// execution stages for its window.
-	cold := rep.Results["cold"]
-	for _, stage := range []string{"queue_wait", "execute"} {
-		if q, ok := cold.ServerStagesMS[stage]; !ok || q.P99 <= 0 {
-			t.Errorf("cold workload missing server stage %q (got %+v)", stage, cold.ServerStagesMS)
-		}
-	}
-}
-
-// TestDistributedWorkloadsSmoke drives the store and fleet workloads at
-// smoke scale: each boots its own backend (store-armed server, two-worker
-// fleet) and must produce a schema-valid phase.
+// TestDistributedWorkloadsSmoke drives the fleet workload at smoke scale:
+// it boots its own two-worker fleet behind a coordinator and must produce
+// a valid, error-free phase.
 func TestDistributedWorkloadsSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	if err := run([]string{"-smoke", "-workloads", "store,fleet"}, &out); err != nil {
+	if err := run([]string{"-smoke", "-workloads", "fleet"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "schema ok") {
@@ -112,125 +71,64 @@ func TestDistributedWorkloadsSmoke(t *testing.T) {
 	}
 }
 
-// TestStoreBenchSmoke runs the BENCH_store.json recorder end to end at
-// smoke scale (8 points, short fleet rungs) and checks it validates its
-// own report without writing anything.
-func TestStoreBenchSmoke(t *testing.T) {
-	t.Parallel()
-	var out bytes.Buffer
-	if err := run([]string{"-smoke", "-store-bench"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "store-bench schema ok") {
-		t.Errorf("store-bench output missing validation line:\n%s", out.String())
-	}
-}
-
-// TestBenchStoreBaselineSchema pins the standing BENCH_store.json at the
-// repo root, mirroring the BENCH_phases.json pin: regeneration command,
-// parseable date, every cache tier with ordered quantiles, and the fleet
-// ladder at its fixed rungs.
-func TestBenchStoreBaselineSchema(t *testing.T) {
-	t.Parallel()
-	data, err := os.ReadFile("../../BENCH_store.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep StoreReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateStoreReport(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := time.Parse("2006-01-02", rep.Recorded); err != nil {
-		t.Errorf("recorded date %q: %v", rep.Recorded, err)
-	}
-	// The tiers must relate the way the architecture promises: a memory or
-	// disk hit beats re-running the simulation. The margin is large (a
-	// cache hit is one round trip; cold includes a full run plus polling),
-	// so the pin survives noisy hardware.
-	cold, lru, disk := rep.PointLatencyMS["cold"], rep.PointLatencyMS["lru_warm"], rep.PointLatencyMS["disk_warm"]
-	if lru.P50 >= cold.P50 {
-		t.Errorf("lru_warm p50 %.3fms not faster than cold p50 %.3fms", lru.P50, cold.P50)
-	}
-	if disk.P50 >= cold.P50 {
-		t.Errorf("disk_warm p50 %.3fms not faster than cold p50 %.3fms", disk.P50, cold.P50)
-	}
-	if !strings.Contains(rep.Notes, "ROADMAP") {
-		t.Error("notes do not tie the baseline to its roadmap item")
-	}
-}
-
-func TestValidateStoreReport(t *testing.T) {
-	t.Parallel()
-	good := func() *StoreReport {
-		return &StoreReport{
-			Description: "x. Regenerate with: go run ./cmd/mobibench -store-bench -out BENCH_store.json",
-			Recorded:    time.Now().Format("2006-01-02"),
-			PointLatencyMS: map[string]Quantiles{
-				"cold": {P50: 2, P90: 3, P99: 4}, "lru_warm": {P50: 0.1, P90: 0.2, P99: 0.3},
-				"disk_warm": {P50: 0.2, P90: 0.4, P99: 0.6},
-			},
-			FleetThroughput: []FleetPoint{
-				{Workers: 1, Sweeps: 10, SweepsPerS: 5, PointsPerS: 10},
-				{Workers: 2, Sweeps: 20, SweepsPerS: 10, PointsPerS: 20},
-				{Workers: 4, Sweeps: 30, SweepsPerS: 15, PointsPerS: 30},
-			},
-		}
-	}
-	if err := validateStoreReport(good()); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-	for name, breakIt := range map[string]func(*StoreReport){
-		"missing regen command": func(r *StoreReport) { r.Description = "nope" },
-		"missing tier":          func(r *StoreReport) { delete(r.PointLatencyMS, "disk_warm") },
-		"inverted quantiles":    func(r *StoreReport) { r.PointLatencyMS["cold"] = Quantiles{P50: 4, P90: 3, P99: 2} },
-		"missing rung":          func(r *StoreReport) { r.FleetThroughput = r.FleetThroughput[:2] },
-		"wrong rung order":      func(r *StoreReport) { r.FleetThroughput[0].Workers = 2 },
-		"zero throughput":       func(r *StoreReport) { r.FleetThroughput[1].SweepsPerS = 0 },
-	} {
-		r := good()
-		breakIt(r)
-		if err := validateStoreReport(r); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
 func TestValidateReport(t *testing.T) {
 	t.Parallel()
-	good := func() *Report {
-		return &Report{
-			Description: "x. Regenerate with: go run ./cmd/mobibench",
-			Recorded:    time.Now().Format("2006-01-02"),
-			Results: map[string]WorkloadResult{
-				"cold": {Requests: 10, ThroughputRPS: 5, LatencyMS: Quantiles{P50: 1, P99: 2}},
-			},
-		}
+	good := func() map[string]WorkloadResult {
+		return map[string]WorkloadResult{"cold": {Requests: 10, ThroughputRPS: 5, P50: 1, P99: 2}}
 	}
 	if err := validateReport(good(), []string{"cold"}); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
-	for name, breakIt := range map[string]func(*Report){
-		"missing regen command": func(r *Report) { r.Description = "nope" },
-		"missing workload":      func(r *Report) { delete(r.Results, "cold") },
-		"zero requests":         func(r *Report) { r.Results["cold"] = WorkloadResult{} },
-		"errors": func(r *Report) {
-			w := r.Results["cold"]
-			w.Errors = 1
-			r.Results["cold"] = w
-		},
-		"inverted quantiles": func(r *Report) {
-			w := r.Results["cold"]
-			w.LatencyMS = Quantiles{P50: 5, P99: 1}
-			r.Results["cold"] = w
-		},
+	for name, breakIt := range map[string]func(map[string]WorkloadResult){
+		"missing workload":   func(r map[string]WorkloadResult) { delete(r, "cold") },
+		"zero requests":      func(r map[string]WorkloadResult) { r["cold"] = WorkloadResult{} },
+		"errors":             func(r map[string]WorkloadResult) { w := r["cold"]; w.Errors = 1; r["cold"] = w },
+		"inverted quantiles": func(r map[string]WorkloadResult) { w := r["cold"]; w.P50, w.P99 = 5, 1; r["cold"] = w },
 	} {
 		r := good()
 		breakIt(r)
 		if err := validateReport(r, []string{"cold"}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	// chaos alone may lose up to chaosErrorBudget (20%) of its requests.
+	chaos := map[string]WorkloadResult{"chaos": {Requests: 8, Errors: 2, ThroughputRPS: 5, P50: 1, P99: 2}}
+	if err := validateReport(chaos, []string{"chaos"}); err != nil {
+		t.Errorf("chaos within its error budget rejected: %v", err)
+	}
+	chaos["chaos"] = WorkloadResult{Requests: 7, Errors: 3, ThroughputRPS: 5, P50: 1, P99: 2}
+	if err := validateReport(chaos, []string{"chaos"}); err == nil {
+		t.Error("chaos over its error budget accepted")
+	}
+}
+
+// TestRequestErrorFailsRun drives run end to end against a server that
+// fails every other scenario run with 422 (a failed job): the workload
+// still completes requests, but the zero-error gate must make run fail.
+func TestRequestErrorFailsRun(t *testing.T) {
+	t.Parallel()
+	var runs atomic.Uint64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			w.WriteHeader(http.StatusOK)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/run":
+			if runs.Add(1)%2 == 0 {
+				http.Error(w, "job failed: injected", http.StatusUnprocessableEntity)
+				return
+			}
+			w.Write([]byte(`{}`))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	var out bytes.Buffer
+	err := run([]string{"-addr", srv.URL, "-workloads", "cold", "-c", "2", "-d", "100ms"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "errors") {
+		t.Fatalf("run = %v, want the zero-error gate to fail it\n%s", err, out.String())
+	}
+	if runs.Load() < 2 {
+		t.Fatalf("server saw %d runs; the 422 path was never exercised", runs.Load())
 	}
 }

@@ -103,8 +103,8 @@
 //
 //   - cmd/mobisim — single-run and sweep CLI (specs, tracing, profiling)
 //   - cmd/mobiserved — the HTTP simulation service (runs + sweep batches)
-//   - cmd/mobibench — closed-loop load generator for the service
-//     (BENCH_load.json baseline)
+//   - cmd/mobibench — closed-loop load, chaos and fleet driver for the
+//     service (CI smoke jobs); perfbench/ holds the benchmark contract
 //   - cmd/experiments — the E1–E17/X1–X8 validation suite and its
 //     Markdown reproduction report
 //   - cmd/percmap, cmd/tracecat — percolation maps, trace inspection

@@ -180,8 +180,9 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 // structural invariants the exporters guarantee: a top-level traceEvents
 // array whose entries each carry a name, a known phase ("X" or "M"), and —
 // for complete spans — non-negative ts and dur. It returns the number of
-// span ("X") events. Consumers (CI, mobibench self-checks, schema tests)
-// share this one definition of "parses as a trace".
+// span ("X") events. Consumers (cmd/tracecheck in CI, mobibench's
+// -trace-out export, the exporter tests) share this one definition of
+// "parses as a trace".
 func ValidateChromeTrace(data []byte) (spans int, err error) {
 	var f struct {
 		TraceEvents []struct {

@@ -170,8 +170,9 @@ func (h *Histogram) cumulative() []uint64 {
 // encoding: bounds[i] is the inclusive upper bound of bucket i and cum[i]
 // the number of observations at or below it, with cum's final extra entry
 // the +Inf total. This is the read-side counterpart of the Prometheus
-// rendering — mobibench uses it to recover server-side stage latencies
-// from a /metrics scrape — so its resolution is the scrape's (one octave),
+// rendering, for series recovered from a /metrics scrape by
+// ParseHistograms (perfbench's scrape path; ScrapedHistogram.Quantile
+// wraps it) — so its resolution is the scrape's (one octave),
 // coarser than Histogram.Quantile on the live histogram. Returns 0 when
 // the encoding is empty or malformed.
 func QuantileFromCumulative(bounds []float64, cum []uint64, q float64) float64 {

@@ -9,7 +9,7 @@ package visibility
 // by TestAblationBaselinesAgree, the differential harness in
 // differential_test.go, and the brute-force comparison tests in
 // visibility_test.go; these benchmarks quantify the gaps at sparse-regime
-// densities. BENCH_visibility.json records the measured trajectory.
+// densities. DESIGN.md §7 and §14 quote the measured trajectory.
 
 import (
 	"fmt"
@@ -223,8 +223,8 @@ func BenchmarkComponents(b *testing.B) {
 // is the design's operating speedup. Every row includes the walk.StepAll
 // cost, so the inc rows understate the pure relabel gain.
 //
-// Two radii are swept: r=1 is the operating regime of the standing phase
-// baseline (BENCH_phases.json runs broadcast at r=1), where the pair cache
+// Two radii are swept: r=1 is the paper's operating regime (the phase
+// split in DESIGN.md §12 runs broadcast at r=1), where the pair cache
 // is small and most steps flip nothing; r=benchRadius (8) is the saturated
 // worst case where ~every cached pair has a moved endpoint every step and
 // the pass set is rebuilt wholesale.
@@ -240,7 +240,7 @@ func BenchmarkComponentsStepped(b *testing.B) {
 			// motion floor every other row includes. Subtracting it from a
 			// labelled row gives that labeller's net per-step cost, which
 			// is what the ≥2x acceptance ratio against the static csr
-			// record is computed from (see BENCH_visibility.json notes).
+			// figures is computed from (see DESIGN.md §14).
 			{"steponly", func(r int) (func([]grid.Point), *Incremental) {
 				return func(pos []grid.Point) {}, nil
 			}},

@@ -50,7 +50,7 @@ func padFor(r, k int) int {
 // moves an agent at most one lattice step per tick) almost all bucket
 // contents and almost all pair distances are unchanged between steps, and
 // the from-scratch rebuild is the dominant cost of every engine step (see
-// BENCH_phases.json).
+// DESIGN.md §12 and §14 for the measured phase split).
 //
 // Three mechanisms carry the savings:
 //
